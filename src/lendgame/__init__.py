@@ -1,6 +1,8 @@
 """Interbank lending game: equilibrium solver, KKT certification and
 convergent best-response dynamics."""
 
+from types import ModuleType as _ModuleType
+
 from .game import (
     FEAS_TOL,
     NUM_TOL,
@@ -40,6 +42,7 @@ from .dynamics import (
     pg_step_bound,
     project_capped_simplex,
     run,
+    step_continuous,
     step_eager,
     step_pseudo_gradient,
     step_randomised,
@@ -56,5 +59,5 @@ from .oracle import (
     random_profile,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]
 __version__ = "0.1.0"

@@ -93,6 +93,19 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(data)
 
 
+def load_scenario_or_exit(path: str) -> Scenario:
+    """Load a scenario, or report the error and exit 3 (unreadable) or 2
+    (malformed); `main` turns the exit into its return code."""
+    try:
+        return load_scenario(path)
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: malformed scenario: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
+
+
 def _out_path(path: str | None, default_name: str) -> str:
     if path is not None:
         return path
@@ -120,14 +133,7 @@ def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
 
 
 def cmd_solve(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed scenario: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    scenario = load_scenario_or_exit(args.scenario)
     try:
         if args.output is None:
             write_equilibrium_report(scenario, sys.stdout)
@@ -159,38 +165,24 @@ def export_trajectory(traj, path: str) -> None:
 
 
 def build_config(scenario: Scenario, args) -> DynamicsConfig:
-    overrides = dict(scenario.dynamics)
-    cfg = DynamicsConfig()
-    for key in ("variant", "alpha", "lender_weights", "pg_weights", "pg_step",
-                "ode_step", "horizon", "max_iters", "stop_gap", "snapshot_every", "seed"):
-        if key in overrides:
-            setattr(cfg, key, overrides[key])
+    """Scenario `dynamics` overrides, then CLI flags; an unknown key raises
+    TypeError."""
+    cfg = DynamicsConfig(**scenario.dynamics)
     if args.variant is not None:
         cfg.variant = args.variant.replace("-", "_")
     for key in ("alpha", "pg_step", "ode_step", "horizon", "max_iters", "stop_gap", "seed"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
-    if cfg.lender_weights is not None:
-        cfg.lender_weights = np.asarray(cfg.lender_weights, dtype=float)
-    if cfg.pg_weights is not None:
-        cfg.pg_weights = np.asarray(cfg.pg_weights, dtype=float)
     return cfg
 
 
 def cmd_dynamics(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed scenario: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    scenario = load_scenario_or_exit(args.scenario)
     game = scenario.game
     try:
         cfg = build_config(scenario, args).resolved(game)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"error: invalid dynamics configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     start = scenario.initial_profile if scenario.initial_profile is not None else game.zero_profile()
@@ -304,14 +296,7 @@ def _check_candidate(game: gm.LendingGame, candidate: np.ndarray) -> list[tuple[
 def cmd_verify(args) -> int:
     rows: list[tuple[str, bool, str]] = []
     if args.scenario is not None:
-        try:
-            scenario = load_scenario(args.scenario)
-        except OSError as exc:
-            print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: malformed scenario: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        scenario = load_scenario_or_exit(args.scenario)
         game = scenario.game
         rng = np.random.Generator(np.random.Philox(args.seed))
         rows.extend(_check_instance(game, rng))
@@ -414,10 +399,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the documented code
         return int(exc.code) if exc.code is not None else EXIT_BAD_INPUT
-    return args.func(args)
 
 
 if __name__ == "__main__":

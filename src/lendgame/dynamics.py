@@ -12,26 +12,28 @@ Four variants, all provably convergent to the unique equilibrium:
 * continuous: the ODE ds_i/dt = BR_i(s) - s_i, integrated with classical
   fixed-step RK4.
 
-Trajectories record the potential and the Lyapunov gap (potential at
-equilibrium minus current potential) at every step, with thinned profile
-snapshots.
+`run` drives every variant through one loop.  Trajectories record the
+potential and the Lyapunov gap (potential at equilibrium minus current
+potential) at every step, with thinned profile snapshots.  A run stops at
+the first step whose gap is at most stop_gap, or after max_iters steps;
+the continuous variant is also capped at round(horizon / ode_step) steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .best_response import best_response, best_response_gains, best_response_profile
 from .equilibrium import solve_equilibrium
-from .game import LendingGame, potential, validate_profile
+from .game import LendingGame, potential, potential_gradient, validate_profile
 
 VARIANTS = ("eager", "randomised", "pseudo_gradient", "continuous")
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration_cap"
-STATUS_STEP_ERROR = "step_error"
 
 
 def pg_step_bound(game: LendingGame, pg_weights: np.ndarray | None = None) -> float:
@@ -45,24 +47,27 @@ def pg_step_bound(game: LendingGame, pg_weights: np.ndarray | None = None) -> fl
     return float(game.demands.min() / (2.0 * game.rate_span * (game.m + 1) * wmax))
 
 
-def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x <= cap}.
+def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x <= cap}, row by row.
 
-    Clip at zero; if the positive part fits under the cap it is the
-    projection, otherwise project onto the simplex {x >= 0, sum x = cap}
-    with the standard sort-based rule.
+    v is one vector or a matrix whose rows are projected independently
+    (cap is then a scalar or one cap per row).  Clip at zero; where the
+    positive part fits under the cap it is the projection, otherwise
+    project onto the simplex {x >= 0, sum x = cap} with the standard
+    sort-based rule.
     """
     v = np.asarray(v, dtype=float)
     clipped = np.maximum(v, 0.0)
-    if clipped.sum() <= cap:
+    over = clipped.sum(axis=-1) > cap
+    if not over.any():
         return clipped
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - cap
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1)
-    return np.maximum(v - theta, 0.0)
+    rows = np.atleast_2d(v)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    mean = (np.cumsum(u, axis=1) - np.reshape(cap, (-1, 1))) / np.arange(1, u.shape[1] + 1)
+    # rho: last sorted position still above its shifted running mean.
+    rho = u.shape[1] - 1 - np.argmax(u[:, ::-1] > mean[:, ::-1], axis=1)
+    theta = mean[np.arange(len(u)), rho].reshape(over.shape + (1,))
+    return np.where(over[..., None], np.maximum(v - theta, 0.0), clipped)
 
 
 @dataclass
@@ -84,6 +89,18 @@ class DynamicsConfig:
 
     def resolved(self, game: LendingGame) -> "DynamicsConfig":
         """Validated copy with game-dependent defaults filled in."""
+        for name in ("max_iters", "snapshot_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("alpha", "pg_step", "ode_step", "horizon", "stop_gap"):
+            value = getattr(self, name)
+            if value is None and name == "pg_step":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not 0.0 < self.alpha <= 1.0:
@@ -115,19 +132,7 @@ class DynamicsConfig:
             raise ValueError(
                 f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]"
             )
-        return DynamicsConfig(
-            variant=self.variant,
-            alpha=self.alpha,
-            lender_weights=weights,
-            pg_weights=pg_weights,
-            pg_step=pg_step,
-            ode_step=self.ode_step,
-            horizon=self.horizon,
-            max_iters=self.max_iters,
-            stop_gap=self.stop_gap,
-            snapshot_every=self.snapshot_every,
-            seed=self.seed,
-        )
+        return replace(self, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step)
 
 
 @dataclass
@@ -150,38 +155,6 @@ class Trajectory:
     @property
     def final_gap(self) -> float:
         return float(self.lyapunov_gaps[-1]) if self.lyapunov_gaps.size else float("nan")
-
-
-class _Recorder:
-    def __init__(self, snapshot_every: int):
-        self.snapshot_every = max(1, snapshot_every)
-        self.steps: list[int] = []
-        self.times: list[float] = []
-        self.lenders: list[int] = []
-        self.potentials: list[float] = []
-        self.gaps: list[float] = []
-        self.snapshots: list[tuple[int, np.ndarray]] = []
-
-    def record(self, step, time, lender, phi, gap, profile):
-        self.steps.append(step)
-        self.times.append(time)
-        self.lenders.append(lender)
-        self.potentials.append(phi)
-        self.gaps.append(gap)
-        if step % self.snapshot_every == 0:
-            self.snapshots.append((step, profile.copy()))
-
-    def build(self, final_profile, status) -> Trajectory:
-        return Trajectory(
-            steps=np.array(self.steps, dtype=int),
-            times=np.array(self.times),
-            lenders=np.array(self.lenders, dtype=int),
-            potentials=np.array(self.potentials),
-            lyapunov_gaps=np.array(self.gaps),
-            snapshots=self.snapshots,
-            final_profile=final_profile,
-            status=status,
-        )
 
 
 def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
@@ -225,12 +198,29 @@ def step_pseudo_gradient(
     if pg_step > pg_step_bound(game, pg_weights):
         raise ValueError("pg_step exceeds the stability bound")
     s = np.asarray(profile, dtype=float)
-    col = s.sum(axis=0)
-    grad = (game.rate_min - game.rate_max) * ((s + col) / game.demands - 1.0)
-    moved = s + pg_step * np.asarray(pg_weights)[:, None] * grad
-    out = np.empty_like(moved)
-    for i in range(game.m):
-        out[i] = project_capped_simplex(moved[i], float(game.budgets[i]))
+    moved = s + pg_step * np.asarray(pg_weights)[:, None] * potential_gradient(game, s)
+    return project_capped_simplex(moved, game.budgets)
+
+
+def step_continuous(game: LendingGame, profile: np.ndarray, ode_step: float) -> np.ndarray:
+    """One classical RK4 step of ds_i/dt = BR_i(s) - s_i."""
+    s = np.asarray(profile, dtype=float)
+    h = float(ode_step)
+
+    def field_at(x):
+        return best_response_profile(game, x) - x
+
+    k1 = field_at(s)
+    k2 = field_at(s + 0.5 * h * k1)
+    k3 = field_at(s + 0.5 * h * k2)
+    k4 = field_at(s + h * k3)
+    out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # RK4 can leave the feasible set by integrator error only; clip it.
+    np.clip(out, 0.0, None, out=out)
+    excess = out.sum(axis=1) / game.budgets
+    over = excess > 1.0
+    if over.any():
+        out[over] /= excess[over, None]
     return out
 
 
@@ -239,84 +229,57 @@ def integrate_continuous(
     initial_profile: np.ndarray,
     ode_step: float = 0.01,
     horizon: float = 50.0,
-    residual_tol: float = 0.0,
     snapshot_every: int = 10,
 ) -> Trajectory:
-    """Integrate ds_i/dt = BR_i(s) - s_i with classical fixed-step RK4.
-
-    Stops at the horizon, or earlier once the largest per-lender sup-norm
-    best-response residual drops to residual_tol.  Records the Lyapunov gap
-    against the closed-form equilibrium at every step.
-    """
-    s = validate_profile(game, initial_profile).copy()
-    h = float(ode_step)
-    if h <= 0:
-        raise ValueError("ode_step must be positive")
-    phi_star = potential(game, solve_equilibrium(game).profile)
-    rec = _Recorder(snapshot_every)
-
-    def field_at(x):
-        return best_response_profile(game, x) - x
-
-    n_steps = int(round(horizon / h))
-    rec.record(0, 0.0, -1, potential(game, s), phi_star - potential(game, s), s)
-    status = STATUS_ITERATION_CAP
-    for k in range(1, n_steps + 1):
-        k1 = field_at(s)
-        k2 = field_at(s + 0.5 * h * k1)
-        k3 = field_at(s + 0.5 * h * k2)
-        k4 = field_at(s + h * k3)
-        s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # RK4 can leave the feasible set by integrator error only; clip it.
-        np.clip(s, 0.0, None, out=s)
-        excess = s.sum(axis=1) / game.budgets
-        over = excess > 1.0
-        if over.any():
-            s[over] /= excess[over, None]
-        phi = potential(game, s)
-        rec.record(k, k * h, -1, phi, phi_star - phi, s)
-        if np.abs(field_at(s)).max() <= residual_tol:
-            status = STATUS_CONVERGED
-            break
-    else:
-        if residual_tol <= 0.0:
-            status = STATUS_CONVERGED  # ran to the requested horizon
-    return rec.build(s, status)
+    """Integrate ds_i/dt = BR_i(s) - s_i with classical fixed-step RK4 up to
+    the horizon: :func:`run` on the continuous variant, with the default
+    stop_gap and max_iters."""
+    config = DynamicsConfig(variant="continuous", ode_step=ode_step, horizon=horizon,
+                            snapshot_every=snapshot_every)
+    return run(game, initial_profile, config)
 
 
 def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) -> Trajectory:
-    """Run the configured variant until the Lyapunov gap falls below
-    stop_gap or the iteration cap is hit (the latter is reported in the
-    trajectory status, not raised)."""
+    """Run the configured variant until the Lyapunov gap falls to stop_gap
+    or the step cap is hit (the latter is reported in the trajectory status,
+    not raised).  The cap is max_iters, and for the continuous variant at
+    most round(horizon / ode_step)."""
     cfg = config.resolved(game)
     s = validate_profile(game, initial_profile).copy()
-
+    n_steps = cfg.max_iters
     if cfg.variant == "continuous":
-        traj = integrate_continuous(
-            game, s, cfg.ode_step, cfg.horizon, snapshot_every=cfg.snapshot_every
-        )
-        status = STATUS_CONVERGED if traj.final_gap <= cfg.stop_gap else STATUS_ITERATION_CAP
-        traj.status = status
-        return traj
+        n_steps = min(n_steps, int(round(cfg.horizon / cfg.ode_step)))
 
     phi_star = potential(game, solve_equilibrium(game).profile)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    rec = _Recorder(cfg.snapshot_every)
+    snapshot_every = max(1, cfg.snapshot_every)
     phi = potential(game, s)
-    rec.record(0, 0.0, -1, phi, phi_star - phi, s)
+    steps, times, lenders, potentials, gaps = [0], [0.0], [-1], [phi], [phi_star - phi]
+    snapshots = [(0, s.copy())]
     status = STATUS_ITERATION_CAP
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, n_steps + 1):
+        lender, time = -1, float(t)
         if cfg.variant == "eager":
             s, lender, _ = step_eager(game, s, cfg.alpha)
         elif cfg.variant == "randomised":
             s, lender = step_randomised(game, s, cfg.alpha, cfg.lender_weights, rng)
-        else:
+        elif cfg.variant == "pseudo_gradient":
             s = step_pseudo_gradient(game, s, cfg.pg_weights, cfg.pg_step)
-            lender = -1
+        else:
+            s = step_continuous(game, s, cfg.ode_step)
+            time = t * cfg.ode_step
         phi = potential(game, s)
         gap = phi_star - phi
-        rec.record(t, float(t), lender, phi, gap, s)
+        steps.append(t)
+        times.append(time)
+        lenders.append(lender)
+        potentials.append(phi)
+        gaps.append(gap)
+        if t % snapshot_every == 0:
+            snapshots.append((t, s.copy()))
         if gap <= cfg.stop_gap:
             status = STATUS_CONVERGED
             break
-    return rec.build(s, status)
+    return Trajectory(steps=np.array(steps), times=np.array(times), lenders=np.array(lenders),
+                      potentials=np.array(potentials), lyapunov_gaps=np.array(gaps),
+                      snapshots=snapshots, final_profile=s, status=status)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import FEAS_TOL, LendingGame, interest_rates, validate_profile
+from .game import FEAS_TOL, LendingGame, interest_rates, potential_gradient, validate_profile
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,20 @@ def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
     return k, perm
 
 
+def _market_rate(game: LendingGame, mbar: int, exhausted_frac: float) -> float:
+    """Equilibrium rate given mbar exhausted lenders whose budgets sum to
+    exhausted_frac of total demand."""
+    m = game.m
+    return float(
+        game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
+        + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)
+    )
+
+
 def market_rate(game: LendingGame) -> float:
     """Common equilibrium interest rate offered by every borrower."""
     mbar, perm = compute_threshold_index(game)
-    m = game.m
-    exhausted_budget_frac = game.budgets[perm[:mbar]].sum() / game.total_demand
-    return float(
-        game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_budget_frac)
-        + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_budget_frac)
-    )
+    return _market_rate(game, mbar, game.budgets[perm[:mbar]].sum() / game.total_demand)
 
 
 def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
@@ -107,17 +112,13 @@ def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
         game.budgets[exhausted] / total_d - common_frac
     )
 
-    rate = float(
-        game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
-        + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)
-    )
     return EquilibriumResult(
         profile=profile,
         threshold_index=mbar,
         exhausted_set=np.sort(exhausted),
         multipliers_budget=mu_budget,
         multipliers_nonneg=np.zeros((m, n)),
-        market_rate=rate,
+        market_rate=_market_rate(game, mbar, exhausted_frac),
     )
 
 
@@ -145,9 +146,7 @@ def kkt_check(
         float(np.maximum(-s, 0.0).max()),
     )
 
-    col = s.sum(axis=0)
-    grad = (game.rate_min - game.rate_max) * ((s + col) / game.demands - 1.0)
-    stationarity = float(np.abs(grad - mu_b[:, None] + mu_n).max())
+    stationarity = float(np.abs(potential_gradient(game, s) - mu_b[:, None] + mu_n).max())
 
     dual = max(
         float(np.maximum(-mu_b, 0.0).max()),

@@ -59,10 +59,7 @@ def projected_gradient_solve(
     it = 0
     for it in range(1, max_iters + 1):
         grad = potential_gradient(game, s)
-        moved = s + step * grad
-        nxt = np.empty_like(s)
-        for i in range(game.m):
-            nxt[i] = project_capped_simplex(moved[i], float(game.budgets[i]))
+        nxt = project_capped_simplex(s + step * grad, game.budgets)
         norm = float(np.abs(nxt - s).max() / step)
         s = nxt
         if norm <= tol:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,14 @@ def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "lendgame.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_scenario_round_trip():
@@ -101,6 +112,23 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
                  "--output", str(tmp_path / "t.csv")])
     assert code == 2
     assert "stability bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dynamics, field", [
+    ({"alhpa": 0.5}, "alhpa"),
+    ({"max_iters": 10.5}, "max_iters"),
+    ({"max_iters": True}, "max_iters"),
+    ({"alpha": "x"}, "alpha"),
+    ({"seed": -1}, "seed"),
+    ({"horizon": float("inf")}, "horizon"),
+], ids=["unknown_key", "float_max_iters", "bool_max_iters", "string_alpha",
+        "negative_seed", "infinite_horizon"])
+def test_dynamics_bad_config_exits_2(tmp_path, dynamics, field):
+    path = write_scenario(tmp_path, {**TWO_LENDER, "dynamics": dynamics})
+    proc = run_cli("dynamics", path, "--output", str(tmp_path / "t.csv"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid dynamics configuration" in proc.stderr and field in proc.stderr
 
 
 def test_verify_random_passes(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lendgame import (
+    VARIANTS,
     DynamicsConfig,
     LendingGame,
     integrate_continuous,
@@ -187,6 +188,29 @@ def test_run_converges_eager():
     traj = run(g, g.zero_profile(), cfg)
     assert traj.status == "converged"
     assert traj.final_gap <= 1e-8
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stop_rule_parity(variant):
+    g = random_square_game(8, 5, 4)
+    tiny_gap = DynamicsConfig(variant=variant, max_iters=3, stop_gap=1e-300)
+    capped = run(g, g.zero_profile(), tiny_gap)
+    assert capped.status == "iteration_cap"
+    assert capped.iterations == 3
+    cfg = DynamicsConfig(variant=variant)
+    traj = run(g, g.zero_profile(), cfg)
+    assert traj.status == "converged"
+    assert traj.lyapunov_gaps[-1] <= cfg.stop_gap
+    assert np.all(traj.lyapunov_gaps[1:-1] > cfg.stop_gap)
+
+
+def test_continuous_horizon_caps_steps():
+    g = random_square_game(8, 5, 4)
+    cfg = DynamicsConfig(variant="continuous", ode_step=0.01, horizon=0.05, stop_gap=1e-300)
+    traj = run(g, g.zero_profile(), cfg)
+    assert traj.status == "iteration_cap"
+    assert traj.iterations == 5 == round(cfg.horizon / cfg.ode_step)
+    assert traj.times[-1] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_gradient_ball_bound():

@@ -173,3 +173,13 @@ def test_rate_corridor_without_oversupply():
         rates = interest_rates(g, s)
         assert np.all(rates >= g.rate_min - 1e-12)
         assert np.all(rates <= g.rate_max + 1e-12)
+
+
+def test_package_exports_no_modules():
+    import types
+
+    import lendgame
+
+    assert lendgame.__all__
+    for name in lendgame.__all__:
+        assert not isinstance(getattr(lendgame, name), types.ModuleType), name
