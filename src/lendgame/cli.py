@@ -27,7 +27,7 @@ from .best_response import best_response_gains
 from . import equilibrium as eq
 from . import game as gm
 from . import oracle as orc
-from .dynamics import VARIANTS, DynamicsConfig, STATUS_CONVERGED, run
+from .dynamics import VARIANTS, ConfigError, DynamicsConfig, STATUS_CONVERGED, run
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -166,8 +166,11 @@ def export_trajectory(traj, path: str) -> None:
 
 def build_config(scenario: Scenario, args) -> DynamicsConfig:
     """Scenario `dynamics` overrides, then CLI flags; an unknown key raises
-    TypeError."""
-    cfg = DynamicsConfig(**scenario.dynamics)
+    ConfigError.  `run` validates the rest."""
+    try:
+        cfg = DynamicsConfig(**scenario.dynamics)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
     if args.variant is not None:
         cfg.variant = args.variant.replace("-", "_")
     for key in ("alpha", "pg_step", "ode_step", "horizon", "max_iters", "stop_gap", "seed"):
@@ -180,13 +183,12 @@ def build_config(scenario: Scenario, args) -> DynamicsConfig:
 def cmd_dynamics(args) -> int:
     scenario = load_scenario_or_exit(args.scenario)
     game = scenario.game
+    start = scenario.initial_profile if scenario.initial_profile is not None else game.zero_profile()
     try:
-        cfg = build_config(scenario, args).resolved(game)
-    except (TypeError, ValueError) as exc:
+        traj = run(game, start, build_config(scenario, args))
+    except ConfigError as exc:
         print(f"error: invalid dynamics configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    start = scenario.initial_profile if scenario.initial_profile is not None else game.zero_profile()
-    traj = run(game, start, cfg)
     out_path = _out_path(args.output, "trajectory.csv")
     try:
         export_trajectory(traj, out_path)

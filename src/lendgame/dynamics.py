@@ -36,6 +36,10 @@ STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration_cap"
 
 
+class ConfigError(ValueError):
+    """A dynamics configuration field is invalid; the message names it."""
+
+
 def pg_step_bound(game: LendingGame, pg_weights: np.ndarray | None = None) -> float:
     """Largest stable step for the discretised pseudo-gradient dynamics.
 
@@ -70,6 +74,17 @@ def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
     return np.where(over[..., None], np.maximum(v - theta, 0.0), clipped)
 
 
+def _positive_weights(name: str, value, m: int) -> np.ndarray:
+    """value as m positive finite reals, or a ConfigError naming the field."""
+    try:
+        weights = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        weights = None
+    if weights is None or weights.shape != (m,) or not (np.isfinite(weights) & (weights > 0)).all():
+        raise ConfigError(f"{name} must be {m} positive finite reals, got {value!r}")
+    return weights
+
+
 @dataclass
 class DynamicsConfig:
     """Parameters of a dynamics run.  Fields left as None get defaults
@@ -88,48 +103,45 @@ class DynamicsConfig:
     seed: int = 0
 
     def resolved(self, game: LendingGame) -> "DynamicsConfig":
-        """Validated copy with game-dependent defaults filled in."""
+        """Validated copy with game-dependent defaults filled in; raises
+        ConfigError naming the first invalid field."""
         for name in ("max_iters", "snapshot_every", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
         for name in ("alpha", "pg_step", "ode_step", "horizon", "stop_gap"):
             value = getattr(self, name)
             if value is None and name == "pg_step":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ConfigError("alpha must lie in (0, 1]")
         if self.stop_gap <= 0:
-            raise ValueError("stop_gap must be positive")
+            raise ConfigError("stop_gap must be positive")
         if self.ode_step <= 0:
-            raise ValueError("ode_step must be positive")
+            raise ConfigError("ode_step must be positive")
 
-        weights = self.lender_weights
-        if weights is None:
+        if self.lender_weights is None:
             weights = np.full(game.m, 1.0 / game.m)
         else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (game.m,) or weights.min() <= 0 or not np.isclose(weights.sum(), 1.0):
-                raise ValueError("lender_weights must be a positive distribution over the m lenders")
-
-        pg_weights = self.pg_weights
-        if pg_weights is None:
+            weights = _positive_weights("lender_weights", self.lender_weights, game.m)
+            if not np.isclose(weights.sum(), 1.0):
+                raise ConfigError("lender_weights must be a distribution: they sum to "
+                                  f"{weights.sum():.6g}, not 1")
+        if self.pg_weights is None:
             pg_weights = np.ones(game.m)
         else:
-            pg_weights = np.asarray(pg_weights, dtype=float)
-            if pg_weights.shape != (game.m,) or pg_weights.min() <= 0:
-                raise ValueError("pg_weights must be m positive reals")
+            pg_weights = _positive_weights("pg_weights", self.pg_weights, game.m)
 
         bound = pg_step_bound(game, pg_weights)
         pg_step = self.pg_step if self.pg_step is not None else 0.5 * bound
         if not 0 < pg_step <= bound:
-            raise ValueError(
+            raise ConfigError(
                 f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]"
             )
         return replace(self, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step)

@@ -42,6 +42,10 @@ class LendingGame:
             raise ValueError("every lender budget must be positive")
         if not np.all(demands > 0):
             raise ValueError("every borrower demand must be positive")
+        if not (np.isfinite(budgets).all() and np.isfinite(demands).all()):
+            raise ValueError("budgets and demands must be finite")
+        if not (np.isfinite(self.rate_min) and np.isfinite(self.rate_max)):
+            raise ValueError("rate_min and rate_max must be finite")
         if not (0 < self.rate_min < self.rate_max):
             raise ValueError(
                 "rate corridor invariant violated: need 0 < rate_min < rate_max"
@@ -82,7 +86,8 @@ class LendingGame:
 
 
 def validate_profile(game: LendingGame, profile, feas_tol: float = FEAS_TOL) -> np.ndarray:
-    """Check shape, non-negativity and budget feasibility of a profile.
+    """Check shape, finiteness, non-negativity and budget feasibility of a
+    profile.
 
     Oversupplied borrowers are legal (dynamics pass through such states);
     only the per-lender constraints are enforced.  Returns the profile as a
@@ -95,7 +100,12 @@ def validate_profile(game: LendingGame, profile, feas_tol: float = FEAS_TOL) -> 
         )
     if s.min(initial=0.0) < -feas_tol:
         raise ValueError("profile has negative lending amounts")
-    excess = s.sum(axis=1) - game.budgets
+    row_sums = s.sum(axis=1)
+    # NaN and inf entries propagate into their row sums.
+    if not np.isfinite(row_sums).all():
+        i = int(np.argmin(np.isfinite(row_sums)))
+        raise ValueError(f"lender {i} has non-finite lending amounts")
+    excess = row_sums - game.budgets
     if excess.max(initial=0.0) > feas_tol:
         i = int(np.argmax(excess))
         raise ValueError(f"lender {i} exceeds its budget by {excess[i]:.3g}")

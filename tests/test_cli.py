@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lendgame.cli import Scenario, load_scenario, main, parse_scenario
-from lendgame import LendingGame
+from lendgame import DynamicsConfig, LendingGame
 
 
 TWO_LENDER = {
@@ -121,14 +121,47 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
     ({"alpha": "x"}, "alpha"),
     ({"seed": -1}, "seed"),
     ({"horizon": float("inf")}, "horizon"),
+    ({"pg_weights": [float("nan"), 1.0]}, "pg_weights"),
+    ({"pg_weights": [float("inf"), 1.0]}, "pg_weights"),
+    ({"pg_weights": ["x", 1.0]}, "pg_weights"),
+    ({"lender_weights": [float("nan"), 0.5]}, "lender_weights"),
 ], ids=["unknown_key", "float_max_iters", "bool_max_iters", "string_alpha",
-        "negative_seed", "infinite_horizon"])
+        "negative_seed", "infinite_horizon", "nan_pg_weights", "infinite_pg_weights",
+        "string_pg_weights", "nan_lender_weights"])
 def test_dynamics_bad_config_exits_2(tmp_path, dynamics, field):
     path = write_scenario(tmp_path, {**TWO_LENDER, "dynamics": dynamics})
     proc = run_cli("dynamics", path, "--output", str(tmp_path / "t.csv"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "invalid dynamics configuration" in proc.stderr and field in proc.stderr
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"lenders": [1.0, float("inf")]}),
+    ("solve", {"borrowers": [float("inf")]}),
+    ("solve", {"rate_max": float("inf")}),
+    ("dynamics", {"initial_profile": [[float("nan")], [0.0]]}),
+], ids=["infinite_budget", "infinite_demand", "infinite_rate_max", "nan_initial_profile"])
+def test_non_finite_scenario_exits_2(tmp_path, command, overrides):
+    path = write_scenario(tmp_path, {**TWO_LENDER, **overrides})
+    proc = run_cli(command, path, "--output", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed scenario" in proc.stderr and "finite" in proc.stderr
+
+
+def test_dynamics_resolves_config_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    resolved = DynamicsConfig.resolved
+
+    def counting(self, game):
+        calls.append(self)
+        return resolved(self, game)
+
+    monkeypatch.setattr(DynamicsConfig, "resolved", counting)
+    path = write_scenario(tmp_path, TWO_LENDER)
+    assert main(["dynamics", path, "--output", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_random_passes(capsys):

@@ -29,6 +29,17 @@ def test_game_invariants_rejected():
         LendingGame([1.0], [1.0], 0.0, 0.08)
 
 
+@pytest.mark.parametrize("budgets, demands, rate_min, rate_max", [
+    ([1.0, np.inf], [1.0], 0.02, 0.08),
+    ([1.0], [np.inf], 0.02, 0.08),
+    ([1.0], [1.0], 0.02, np.inf),
+    ([1.0], [1.0], np.nan, 0.08),
+], ids=["budget", "demand", "rate_max", "rate_min"])
+def test_game_rejects_non_finite(budgets, demands, rate_min, rate_max):
+    with pytest.raises(ValueError, match="finite"):
+        LendingGame(budgets, demands, rate_min, rate_max)
+
+
 def test_profile_validation():
     game = LendingGame([1.0, 2.0], [3.0], 0.02, 0.08)
     validate_profile(game, [[0.5], [2.0]])
@@ -38,6 +49,14 @@ def test_profile_validation():
         validate_profile(game, [[-0.5], [0.0]])
     with pytest.raises(ValueError, match="budget"):
         validate_profile(game, [[1.5], [0.0]])
+
+
+def test_profile_validation_rejects_non_finite():
+    game = LendingGame([1.0, 2.0], [3.0], 0.02, 0.08)
+    with pytest.raises(ValueError, match="lender 1 has non-finite"):
+        validate_profile(game, [[0.5], [np.nan]])
+    with pytest.raises(ValueError, match="lender 0 has non-finite"):
+        validate_profile(game, [[np.inf], [0.0]])
 
 
 def test_interest_rate_endpoints(two_lender_game):
