@@ -4,8 +4,6 @@ convergent best-response dynamics."""
 from types import ModuleType as _ModuleType
 
 from .game import (
-    FEAS_TOL,
-    NUM_TOL,
     LendingGame,
     interest_rate,
     interest_rates,

@@ -74,9 +74,8 @@ def best_response_profile(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     return _water_fill(game.demands, s.sum(axis=0) - s, game.budgets)
 
 
-def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
-    """Utility improvement each lender obtains by switching to its best
-    response; non-negative by optimality.
+def _gains_and_profile(game: LendingGame, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response gains and best-response profile from one kernel call.
 
     Lender i's utility at row x is span * sum_j x_j (1 - (R_j + x_j) / d_j),
     so the gain of x over s_i is span * sum_j (x - s)(1 - (R + x + s) / d).
@@ -84,7 +83,14 @@ def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     s = np.asarray(profile, dtype=float)
     residual = s.sum(axis=0) - s
     x = _water_fill(game.demands, residual, game.budgets)
-    return game.rate_span * ((x - s) * (1.0 - (residual + x + s) / game.demands)).sum(axis=1)
+    gains = game.rate_span * ((x - s) * (1.0 - (residual + x + s) / game.demands)).sum(axis=1)
+    return gains, x
+
+
+def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
+    """Utility improvement each lender obtains by switching to its best
+    response; non-negative by optimality."""
+    return _gains_and_profile(game, profile)[0]
 
 
 def best_response_gain(game: LendingGame, profile: np.ndarray, i: int) -> float:

@@ -115,7 +115,7 @@ def _out_path(path: str | None, default_name: str) -> str:
 def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     game = scenario.game
     result = eq.solve_equilibrium(game)
-    report = eq.certify(game, result, tolerance=1e-8)
+    report = eq.certify(game, result)
     out.write(f"m {game.m}\nn {game.n}\n")
     out.write(f"threshold_index {result.threshold_index}\n")
     out.write("exhausted_set " + " ".join(str(i) for i in result.exhausted_set) + "\n")
@@ -203,6 +203,7 @@ def cmd_dynamics(args) -> int:
 
 def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     """All invariant suites on one instance; (name, passed, detail) rows."""
+    cash, rate, util = game.cash_scale, game.rate_span, game.utility_scale
     results = []
     s = orc.random_profile(rng, game)
     s2 = orc.random_profile(rng, game)
@@ -213,29 +214,29 @@ def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tupl
     dev[k] = orc.random_profile(rng, game)[k]
     d_phi = gm.potential(game, dev) - gm.potential(game, s)
     d_u = gm.utility(game, dev, k) - gm.utility(game, s, k)
-    results.append(("potential_identity", abs(d_phi - d_u) <= 1e-10, f"residual {abs(d_phi - d_u):.3g}"))
+    results.append(("potential_identity", abs(d_phi - d_u) <= 1e-10 * util, f"residual {abs(d_phi - d_u):.3g}"))
 
     forms = abs(gm.potential(game, s) - gm.potential_telescoped(game, s))
-    results.append(("potential_forms", forms <= 1e-10, f"residual {forms:.3g}"))
+    results.append(("potential_forms", forms <= 1e-10 * util, f"residual {forms:.3g}"))
 
     lam = float(rng.uniform(0.05, 0.95))
     measured, closed = orc.concavity_gap(game, s, s2, lam)
-    ok = abs(measured - closed) <= 1e-12 and (closed > 0 or np.allclose(s, s2))
+    ok = abs(measured - closed) <= 1e-12 * util and (closed > 0 or np.array_equal(s, s2))
     results.append(("concavity_gap", ok, f"residual {abs(measured - closed):.3g}"))
 
-    fd = orc.finite_difference_gradient(game, s, 1e-5)
+    fd = orc.finite_difference_gradient(game, s)
     g_res = float(np.abs(fd - gm.potential_gradient(game, s)).max())
-    results.append(("gradient_fd", g_res <= 1e-6, f"residual {g_res:.3g}"))
+    results.append(("gradient_fd", g_res <= 1e-6 * rate, f"residual {g_res:.3g}"))
 
     a = game.gradient_variation_bound()
     lhs = float(np.abs(gm.potential_gradient(game, s) - gm.potential_gradient(game, s2)).max())
     rhs = a * float(np.abs(s - s2).sum())
-    results.append(("gradient_variation", lhs <= rhs + 1e-12, f"excess {lhs - rhs:.3g}"))
+    results.append(("gradient_variation", lhs <= rhs + 1e-12 * rate, f"excess {lhs - rhs:.3g}"))
 
     v = rng.standard_normal(game.m * game.n)
     qf = orc.jacobian_quadratic_form(game, v)
     hf = orc.hessian_quadratic_form(game, v)
-    ok = qf < 0 and abs(qf - hf) <= 1e-12 * max(1.0, abs(qf))
+    ok = qf < 0 and abs(qf - hf) <= 1e-12 * abs(qf)
     results.append(("jacobian_negative_definite", ok, f"value {qf:.3g}"))
 
     # Gradient ball bound (directional-derivative persistence).
@@ -247,52 +248,56 @@ def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tupl
         direction /= np.abs(direction).sum()
         s_near = s + float(rng.uniform(0.0, radius)) * direction
         vdot_near = float((v * gm.potential_gradient(game, s_near)).sum())
-        results.append(("gradient_ball", vdot_near >= 0.5 * vdot - 1e-12, f"lhs {vdot_near:.3g}"))
+        results.append(("gradient_ball", vdot_near >= 0.5 * vdot - 1e-12 * rate, f"lhs {vdot_near:.3g}"))
     else:
         results.append(("gradient_ball", True, "inactive (non-positive derivative)"))
 
-    # Improvement bound: some lender's best-response gain reaches the bound.
+    # Improvement bound: some lender's best-response gain reaches
+    # gap^2 / (4 m^4 n^2 a D^2), with the diameter D = max(c_max, d_max),
+    # which is the cash scale.  Derivation:
+    # - concavity gives gap <= m * g, g = max_i grad_i Phi . (s*_i - s_i),
+    #   and grad_i Phi is lender i's own utility gradient;
+    # - the own-row curvature of u_i is at most a, so moving t in [0, 1] of
+    #   the way to s*_i gains at least t g - a t^2 |s*_i - s_i|^2 / 2, with
+    #   |s*_i - s_i|^2 <= 2 c_max^2: an interior t gains at least
+    #   g^2 / (4 a c_max^2) >= gap^2 / (4 m^2 a c_max^2);
+    # - the step-capped branch t = 1 gains at least g / 2, which reaches
+    #   the bound while g <= 2 m^2 n^2 a D^2.  As g <= 2 c_max span
+    #   max(1, (m + 1) c_max / d_min), that is covered only when D >= d_min
+    #   too: with c_max for D, 1 x 1 games with c < d / 9 fail.
     result = eq.solve_equilibrium(game)
     phi_star = gm.potential(game, result.profile)
     gap = phi_star - gm.potential(game, s)
-    bound = gap * gap / (4.0 * game.m**4 * game.n**2 * a * float(game.budgets.max()) ** 2)
+    bound = gap * gap / (4.0 * game.m**4 * game.n**2 * a * cash**2)
     max_gain = float(best_response_gains(game, s).max())
-    results.append(("improvement_bound", max_gain >= bound - 1e-12, f"gain {max_gain:.3g} bound {bound:.3g}"))
+    results.append(("improvement_bound", max_gain >= bound - 1e-12 * util, f"gain {max_gain:.3g} bound {bound:.3g}"))
 
-    sol = orc.projected_gradient_solve(
-        game, tol=min(1e-9, orc.gradient_tol_for_profile_tol(game, 1e-6))
-    )
+    sol = orc.projected_gradient_solve(game, tol=orc.gradient_tol_for_profile_tol(game, 1e-8 * cash))
     dist = float(np.abs(sol.profile - result.profile).max())
-    results.append(("oracle_equivalence", dist <= 1e-6, f"l_inf {dist:.3g}"))
+    results.append(("oracle_equivalence", dist <= 1e-6 * cash, f"l_inf {dist:.3g}"))
 
     report = eq.certify(game, result, tolerance=1e-10)
     results.append(("kkt_residuals", report.passed, f"max residual {max(report.primal_residual, report.stationarity_residual, report.dual_residual, report.slackness_residual):.3g}"))
 
-    spread = eq.rate_spread(game, result.profile)
-    results.append(("uniform_rates", spread <= 1e-12, f"spread {spread:.3g}"))
-
-    nash_gain = float(best_response_gains(game, result.profile).max())
-    results.append(("nash_check", nash_gain <= 1e-9, f"gain {nash_gain:.3g}"))
+    results.extend(_check_candidate(game, result.profile))
 
     oversupply = float((result.profile.sum(axis=0) - game.demands).max())
-    results.append(("no_oversupply", oversupply <= 1e-9, f"excess {oversupply:.3g}"))
+    results.append(("no_oversupply", oversupply <= 1e-9 * cash, f"excess {oversupply:.3g}"))
 
     perm = rng.permutation(game.m)
     permuted = gm.LendingGame(game.budgets[perm], game.demands, game.rate_min, game.rate_max)
     p_res = eq.solve_equilibrium(permuted)
     p_dist = float(np.abs(p_res.profile - result.profile[perm]).max())
-    results.append(("permutation_equivariance", p_dist <= 1e-12, f"l_inf {p_dist:.3g}"))
+    results.append(("permutation_equivariance", p_dist <= 1e-12 * cash, f"l_inf {p_dist:.3g}"))
     return results
 
 
 def _check_candidate(game: gm.LendingGame, candidate: np.ndarray) -> list[tuple[str, bool, str]]:
     """Equilibrium-candidate checks used in scenario verify mode."""
-    results = []
-    nash_gain = float(best_response_gains(game, candidate).max())
-    results.append(("nash_check", nash_gain <= 1e-9, f"gain {nash_gain:.3g}"))
     spread = eq.rate_spread(game, candidate)
-    results.append(("uniform_rates", spread <= 1e-12, f"spread {spread:.3g}"))
-    return results
+    nash_gain = float(best_response_gains(game, candidate).max())
+    return [("uniform_rates", spread <= 1e-12 * game.rate_span, f"spread {spread:.3g}"),
+            ("nash_check", nash_gain <= 1e-9 * game.utility_scale, f"gain {nash_gain:.3g}")]
 
 
 def cmd_verify(args) -> int:

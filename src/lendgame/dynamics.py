@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import best_response, best_response_gains, best_response_profile
+from .best_response import _gains_and_profile, best_response, best_response_profile
 from .equilibrium import solve_equilibrium
 from .game import LendingGame, potential, potential_gradient, validate_profile
 
@@ -174,11 +174,10 @@ def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np
     (lowest index on ties) blends a fraction alpha toward its best response.
     Returns (new profile, chosen lender, that lender's gain)."""
     s = np.asarray(profile, dtype=float)
-    gains = best_response_gains(game, s)
+    gains, targets = _gains_and_profile(game, s)
     i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
-    target = best_response(game, s, i)
     out = s.copy()
-    out[i] = s[i] + alpha * (target - s[i])
+    out[i] = s[i] + alpha * (targets[i] - s[i])
     return out, i, float(gains[i])
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import FEAS_TOL, LendingGame, interest_rates, potential_gradient, validate_profile
+from .game import LendingGame, interest_rates, potential_gradient
 
 
 @dataclass(frozen=True)
@@ -31,22 +31,15 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Residuals of the four KKT condition groups at a candidate point."""
+    """Raw residuals of the four KKT condition groups at a candidate point;
+    `passed` compares each with `tolerance` times its game scale."""
 
     primal_residual: float
     stationarity_residual: float
     dual_residual: float
     slackness_residual: float
     tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(
-            self.primal_residual,
-            self.stationarity_residual,
-            self.dual_residual,
-            self.slackness_residual,
-        ) <= self.tolerance
+    passed: bool
 
 
 def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
@@ -133,6 +126,8 @@ def kkt_check(
 
     Stationarity residual is the max absolute value of
     (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1) - mu_i + mu_ij.
+    `tolerance` is relative: primal to the cash scale, stationarity and dual
+    to the rate span, slackness to the utility scale.
     """
     s = np.asarray(profile, dtype=float)
     mu_b = np.asarray(multipliers_budget, dtype=float)
@@ -164,12 +159,16 @@ def kkt_check(
         dual_residual=dual,
         slackness_residual=slackness,
         tolerance=tolerance,
+        passed=(
+            primal <= tolerance * game.cash_scale
+            and max(stationarity, dual) <= tolerance * game.rate_span
+            and slackness <= tolerance * game.utility_scale
+        ),
     )
 
 
 def certify(game: LendingGame, result: EquilibriumResult, tolerance: float = 1e-8) -> KktReport:
     """KKT report for a solved equilibrium (convenience wrapper)."""
-    validate_profile(game, result.profile, FEAS_TOL)
     return kkt_check(
         game,
         result.profile,

@@ -16,11 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute slack allowed on row-sum feasibility (cash units).
-FEAS_TOL = 1e-9
-# Absolute tolerance for algebraic identity checks at desk-scale magnitudes.
-NUM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LendingGame:
@@ -71,23 +66,30 @@ class LendingGame:
     def total_demand(self) -> float:
         return float(self.demands.sum())
 
-    def gradient_variation_rates(self) -> np.ndarray:
-        """Per-borrower rate at which the potential gradient can vary:
-        2 * (rate_max - rate_min) / d_j."""
-        return 2.0 * self.rate_span / self.demands
+    @property
+    def cash_scale(self) -> float:
+        """Largest budget or demand.  Every tolerance is a relative epsilon
+        times this, rate_span or utility_scale: the game is scale-free."""
+        return float(max(self.budgets.max(), self.demands.max()))
+
+    @property
+    def utility_scale(self) -> float:
+        """rate_span * cash_scale: the unit of utility and potential tolerances."""
+        return self.rate_span * self.cash_scale
 
     def gradient_variation_bound(self) -> float:
-        """Worst case of the per-borrower variation rates (the constant used
-        in the gradient-Lipschitz and improvement bounds)."""
-        return float(self.gradient_variation_rates().max())
+        """Largest rate 2 * (rate_max - rate_min) / d_j at which the potential
+        gradient can vary (the constant of the gradient-Lipschitz and
+        improvement bounds)."""
+        return float(2.0 * self.rate_span / self.demands.min())
 
     def zero_profile(self) -> np.ndarray:
         return np.zeros((self.m, self.n))
 
 
-def validate_profile(game: LendingGame, profile, feas_tol: float = FEAS_TOL) -> np.ndarray:
+def validate_profile(game: LendingGame, profile) -> np.ndarray:
     """Check shape, finiteness, non-negativity and budget feasibility of a
-    profile.
+    profile.  Row i may exceed c_i, or dip below 0, by 1e-9 * c_i.
 
     Oversupplied borrowers are legal (dynamics pass through such states);
     only the per-lender constraints are enforced.  Returns the profile as a
@@ -98,7 +100,8 @@ def validate_profile(game: LendingGame, profile, feas_tol: float = FEAS_TOL) -> 
         raise ValueError(
             f"profile shape {s.shape} does not match game ({game.m}, {game.n})"
         )
-    if s.min(initial=0.0) < -feas_tol:
+    slack = 1e-9 * game.budgets
+    if (s < -slack[:, None]).any():
         raise ValueError("profile has negative lending amounts")
     row_sums = s.sum(axis=1)
     # NaN and inf entries propagate into their row sums.
@@ -106,22 +109,19 @@ def validate_profile(game: LendingGame, profile, feas_tol: float = FEAS_TOL) -> 
         i = int(np.argmin(np.isfinite(row_sums)))
         raise ValueError(f"lender {i} has non-finite lending amounts")
     excess = row_sums - game.budgets
-    if excess.max(initial=0.0) > feas_tol:
-        i = int(np.argmax(excess))
+    over = excess > slack
+    if over.any():
+        i = int(np.argmax(over))
         raise ValueError(f"lender {i} exceeds its budget by {excess[i]:.3g}")
     return s
-
-
-def supplies(game: LendingGame, profile: np.ndarray) -> np.ndarray:
-    """Total supply received by each borrower (column sums)."""
-    return np.asarray(profile, dtype=float).sum(axis=0)
 
 
 def interest_rates(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Vector of borrower interest rates: linear in received supply, equal to
     rate_max at zero supply and rate_min at full demand.  Can fall below
     rate_min when a borrower is oversupplied."""
-    return (game.rate_min - game.rate_max) * supplies(game, profile) / game.demands + game.rate_max
+    supply = np.asarray(profile, dtype=float).sum(axis=0)
+    return (game.rate_min - game.rate_max) * supply / game.demands + game.rate_max
 
 
 def interest_rate(game: LendingGame, profile: np.ndarray, j: int) -> float:
@@ -174,7 +174,8 @@ def potential(game: LendingGame, profile: np.ndarray) -> float:
 
 def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
     """Potential evaluated through the telescoping prefix-rate sum (debug
-    path; must agree with :func:`potential` to within NUM_TOL)."""
+    path; must agree with :func:`potential` to within 1e-10 of the utility
+    scale)."""
     s = np.asarray(profile, dtype=float)
     prefix = np.cumsum(s, axis=0)  # prefix[i, j] = sum_{k <= i} s_kj
     rates = (game.rate_min - game.rate_max) * prefix / game.demands + game.rate_max

@@ -73,8 +73,11 @@ def projected_gradient_solve(
     )
 
 
-def finite_difference_gradient(game: LendingGame, profile: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the potential, entry by entry."""
+def finite_difference_gradient(game: LendingGame, profile: np.ndarray, h: float | None = None) -> np.ndarray:
+    """Central finite differences of the potential, entry by entry; the
+    step h defaults to 1e-5 of the cash scale."""
+    if h is None:
+        h = 1e-5 * game.cash_scale
     if h <= 0:
         raise ValueError("h must be positive")
     s = np.asarray(profile, dtype=float)

@@ -200,3 +200,25 @@ def test_default_output_dir_env(tmp_path, monkeypatch, capsys):
     path = write_scenario(tmp_path, TWO_LENDER)
     assert main(["dynamics", path, "--variant", "eager"]) == 0
     assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_bank_scale_solve_exits_0(tmp_path):
+    # Exhausted rows c_i d_j / sum(d) round to a row sum above c_i by about
+    # 1e-16 relative; an absolute budget slack rejected them.
+    rng = np.random.default_rng(2)
+    path = write_scenario(tmp_path, {"lenders": rng.uniform(0.5e10, 1e12, 6).tolist(),
+                                     "borrowers": rng.uniform(0.5e10, 1e12, 5).tolist(),
+                                     "rate_min": 0.01, "rate_max": 0.05})
+    proc = run_cli("solve", path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "kkt_passed true" in proc.stdout
+
+
+def test_bank_scale_verify_exits_0(tmp_path):
+    path = write_scenario(tmp_path, {"lenders": [1e9, 3e9, 5e10], "borrowers": [2e9, 7e9],
+                                     "rate_min": 0.02, "rate_max": 0.08})
+    proc = run_cli("verify", path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "FAIL" not in proc.stdout

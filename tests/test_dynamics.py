@@ -5,6 +5,8 @@ from lendgame import (
     VARIANTS,
     DynamicsConfig,
     LendingGame,
+    best_response,
+    best_response_gains,
     integrate_continuous,
     pg_step_bound,
     potential,
@@ -234,3 +236,14 @@ def test_gradient_ball_bound():
         vdot_near = float((v * potential_gradient(g, s_near)).sum())
         assert vdot_near >= 0.5 * vdot - 1e-12
         checked += 1
+
+
+def test_eager_target_is_best_response_row():
+    rng = seeded_rng(41)
+    for _ in range(50):
+        g = random_game(rng, 8, 8)
+        s = random_profile(rng, g)
+        out, i, gain = step_eager(g, s, 0.5)
+        expected = s[i] + 0.5 * (best_response(g, s, i) - s[i])
+        assert out[i].tobytes() == expected.tobytes()
+        assert gain == best_response_gains(g, s)[i]
