@@ -201,6 +201,19 @@ def cmd_dynamics(args) -> int:
     return EXIT_OK if traj.status == STATUS_CONVERGED else EXIT_ITERATION_CAP
 
 
+def _gradient_ball_radius(game: gm.LendingGame, v: np.ndarray, vdot: float) -> float:
+    """l1 radius around s within which v . grad Phi stays >= vdot / 2, where
+    vdot = v . grad Phi(s) > 0."""
+    # grad Phi_ij moves by -span (D_ij + sum_k D_kj) / d_j under a step D, so
+    # |v . H D| <= |v|_max span / d_min sum_ij (|D_ij| + sum_k |D_kj|)
+    #          = |v|_max span (m + 1) / d_min |D|_1 = (m + 1) a |v|_max |D|_1 / 2
+    # with a = 2 span / d_min, so v . grad Phi stays >= vdot / 2 while
+    # |D|_1 <= vdot / ((m + 1) a |v|_max).  The bound is tight: n = 1,
+    # v = 1 and every D_i = |D|_1 / m reach it.
+    a = game.gradient_variation_bound()
+    return vdot / ((game.m + 1) * a * float(np.abs(v).max()))
+
+
 def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     """All invariant suites on one instance; (name, passed, detail) rows."""
     cash, rate, util = game.cash_scale, game.rate_span, game.utility_scale
@@ -243,7 +256,7 @@ def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tupl
     v = rng.standard_normal((game.m, game.n))
     vdot = float((v * gm.potential_gradient(game, s)).sum())
     if vdot > 0:
-        radius = vdot / (2.0 * a * float(np.abs(v).max()))
+        radius = _gradient_ball_radius(game, v, vdot)
         direction = rng.standard_normal((game.m, game.n))
         direction /= np.abs(direction).sum()
         s_near = s + float(rng.uniform(0.0, radius)) * direction

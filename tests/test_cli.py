@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from lendgame.cli import Scenario, load_scenario, main, parse_scenario
-from lendgame import DynamicsConfig, LendingGame
+from lendgame.cli import Scenario, _gradient_ball_radius, load_scenario, main, parse_scenario
+from lendgame import DynamicsConfig, LendingGame, potential_gradient
 
 
 TWO_LENDER = {
@@ -173,6 +173,24 @@ def test_verify_random_passes(capsys):
 
 def test_verify_random_zero_is_vacuous(capsys):
     assert main(["verify", "--random", "0"]) == 0
+
+
+def test_gradient_ball_radius_exact_counterexample():
+    # m = 2, n = 1, s = 0, v = 1: vdot = 2 span.  Moving both entries up by
+    # r / 2 lowers v . grad Phi by 3 span r / d, the most an l1 step of r can.
+    game = LendingGame([1.0, 1.0], [1.0], 0.02, 0.08)
+    s, v = np.zeros((2, 1)), np.ones((2, 1))
+    vdot = float((v * potential_gradient(game, s)).sum())
+    a = game.gradient_variation_bound()
+
+    def vdot_at(r):
+        return float((v * potential_gradient(game, s + r / 2.0)).sum())
+
+    old_radius = vdot / (2.0 * a)
+    assert vdot_at(0.9 * old_radius) < 0.5 * vdot          # inside the old ball, the claim is false
+    radius = _gradient_ball_radius(game, v, vdot)
+    assert radius == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert vdot_at(radius) >= 0.5 * vdot - 1e-12 * game.rate_span  # tight, and it holds
 
 
 def test_verify_perturbed_equilibrium_fails(tmp_path, capsys):

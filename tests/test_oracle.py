@@ -11,6 +11,9 @@ from lendgame import (
     projected_gradient_solve,
     solve_equilibrium,
 )
+from lendgame import oracle
+from lendgame.dynamics import pg_step_bound, project_capped_simplex
+from lendgame.game import potential_gradient
 from lendgame.oracle import gradient_tol_for_profile_tol, random_game, random_profile
 
 from conftest import seeded_rng
@@ -40,6 +43,79 @@ def test_solver_partial_result_on_cap(two_lender_game):
     sol = projected_gradient_solve(two_lender_game, tol=1e-15, max_iters=3)
     assert not sol.converged
     assert sol.iterations == 3
+
+
+def _ill_conditioned_game():
+    """8 x 8, max d / min d = 20: condition number (m + 1) * 20 = 180."""
+    return LendingGame(np.linspace(2.0, 30.0, 8), np.linspace(1.0, 20.0, 8), 0.02, 0.08)
+
+
+def _plain_step_move(g, profile):
+    """Sup-norm move of one plain projected-gradient step at pg_step_bound."""
+    step = pg_step_bound(g)
+    plain = project_capped_simplex(profile + step * potential_gradient(g, profile), g.budgets)
+    return float(np.abs(plain - profile).max()), step
+
+
+def test_solver_certificate_holds_independently():
+    rng = seeded_rng(46)
+    for g in [_ill_conditioned_game()] + [random_game(rng, 8, 8) for _ in range(20)]:
+        tol = gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale)
+        sol = projected_gradient_solve(g, tol=tol)
+        assert sol.converged
+        move, step = _plain_step_move(g, sol.profile)
+        assert move <= tol * step
+
+
+def test_solver_keeps_iterating_when_certificate_fails():
+    # m = 7, n = 1, interior start with grad Phi = delta (1, -1, ..., -1): the
+    # first 1/L step moves by delta / L <= tol / L, but at its end the
+    # gradient's first entry is 2 (m - 1) / (m + 1) delta = 1.5 delta > tol.
+    m, delta = 7, 1e-6
+    g = LendingGame(np.full(m, 10.0), [1.0], 0.02, 0.08)
+    direction = -np.ones((m, 1))
+    direction[0] = 1.0
+    start = 1.0 / (m + 1) + np.linalg.solve(-g.rate_span * (np.eye(m) + 1.0), delta * direction)
+    tol = 1.2 * delta
+    sol = projected_gradient_solve(g, tol=tol, start=start)
+    assert sol.converged and sol.iterations > 1
+    move, step = _plain_step_move(g, sol.profile)
+    assert move <= tol * step
+
+
+def test_solver_restarts_momentum(monkeypatch):
+    # The gradient is evaluated at the momentum point y.  Without a restart,
+    # y_{k+1} = x_k + beta_k (x_k - x_{k-1}) with beta_k > 0 from the second
+    # step on; a restart makes the next step (and the one after) plain, so a
+    # later gradient point is exactly the 1/L projected step from the one
+    # before.  Large moves rule out the certificate's evaluations.
+    g = _ill_conditioned_game()
+    tol = gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale)
+    lip = 0.5 / pg_step_bound(g)
+    points = []
+
+    def recording_gradient(game, s):
+        points.append(np.array(s, copy=True))
+        return potential_gradient(game, s)
+
+    monkeypatch.setattr(oracle, "potential_gradient", recording_gradient)
+    assert projected_gradient_solve(g, tol=tol).converged
+    plain_steps = [
+        j for j in range(1, len(points) - 1)
+        if np.abs(points[j + 1] - points[j]).max() * lip > tol
+        and np.array_equal(points[j + 1], project_capped_simplex(
+            points[j] + potential_gradient(g, points[j]) / lip, g.budgets))
+    ]
+    assert plain_steps
+
+
+def test_solver_iteration_count_regression():
+    # The fixed-step loop at 1 / (2L) needed 5,509 iterations on this game at
+    # this tolerance; the accelerated loop needs 315.
+    g = _ill_conditioned_game()
+    sol = projected_gradient_solve(g, tol=gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale))
+    assert sol.converged
+    assert sol.iterations <= 5509 // 4
 
 
 def test_fd_gradient_zero_profile(two_lender_game):
