@@ -1,17 +1,17 @@
 """Exact best responses, computed for all lenders at once.
 
 Fixing the other lenders, a lender's utility is a concave separable
-quadratic in its own lending vector, maximised over the budget-capped
-orthant {x >= 0, sum x <= c}.  The unconstrained per-borrower optimum is
-(d_j - R_j) / 2 where R_j is the supply from the other lenders; when the
-budget binds, the optimum is found by sort-based water-filling over the
-breakpoints at which coordinates hit zero (the weighted form of the
-simplex projection of Duchi et al., ICML 2008).
-
-One row-batched kernel serves every lender: O(mn log n) for a whole
-profile, with no Python loop over lenders or breakpoints.  The single-lender
-functions are row views of it, and the best-response gains come from the
-closed-form row utility in O(mn).
+quadratic in its own lending vector x, maximised over the budget-capped
+orthant {x >= 0, sum x <= c}.  With R_j the supply from the other lenders,
+b_j = 1 - R_j / d_j and w_j = d_j / 2, it is rate_span times
+sum_j x_j b_j - x_j^2 / (2 w_j), so the best response is the projection of
+w b onto the budget set in the metric sum_j x_j^2 / w_j: water-filling, the
+weighted simplex projection of Duchi et al. (ICML 2008).  One row-batched
+kernel serves every best response and, with unit weights, the Euclidean
+projection of the pseudo-gradient dynamics and the oracle: O(mn log n) for
+a whole profile, with no Python loop over lenders or breakpoints.  The
+single-lender functions are row views of it, and the best-response gains
+come from the closed-form row utility in O(mn).
 """
 
 from __future__ import annotations
@@ -21,39 +21,52 @@ import numpy as np
 from .game import LendingGame
 
 
+def _capped_projection(b: np.ndarray, cap, w: np.ndarray | None = None) -> np.ndarray:
+    """x = w max(0, b - lam): the projection of w b onto {x >= 0, sum x <= cap}
+    in the metric sum_j x_j^2 / w_j.  b is one vector, or a matrix projected
+    row by row with a scalar cap or one cap per row; w > 0 is shared by every
+    row, and None means unit weights."""
+    x = np.maximum(b, 0.0) if w is None else w * np.maximum(b, 0.0)
+    over = x.sum(axis=-1) > cap
+    if not over.any():
+        return x  # lam = 0
+
+    # The cap binds: find lam > 0 with sum_j w_j max(0, b_j - lam) = cap.
+    # With b in decreasing order, every prefix k gives the lower bound
+    # (sum_{top k} w b - cap) / sum_{top k} w on lam, tight for the prefix
+    # of coordinates above lam: the last prefix whose smallest b lies above
+    # its bound (Duchi et al.'s rule).  That is the largest bound, but where
+    # a coordinate ends exactly at zero bounds tie and the max would let
+    # rounding choose.  The first prefix always counts, which keeps lam near
+    # max b when the cap is below b's rounding error.  np.sort(b) equals b
+    # in argsort order, ties included; unit weights need no argsort.
+    rows = b[over]
+    top = np.sort(rows, axis=1)[:, ::-1]
+    if w is None:
+        prefix_w = np.arange(1, top.shape[1] + 1)
+        prefix_b = np.cumsum(top, axis=1)
+    else:
+        w_sorted = w[np.argsort(rows, axis=1)[:, ::-1]]
+        prefix_w = np.cumsum(w_sorted, axis=1)
+        prefix_b = np.cumsum(w_sorted * top, axis=1)
+    row_cap = np.asarray(cap)[over, None] if np.ndim(cap) else cap
+    bounds = (prefix_b - row_cap) / prefix_w
+    last = np.where(top > bounds, np.arange(top.shape[1]), 0).max(axis=1)
+    lam = bounds[np.arange(len(bounds)), last]
+    shift = np.maximum(rows - lam[:, None], 0.0)
+    x[over] = shift if w is None else w * shift
+    return x
+
+
+def _respond(game: LendingGame, residual: np.ndarray, budgets) -> np.ndarray:
+    """Best responses to the residual supply row(s), one per budget."""
+    return _capped_projection(1.0 - residual / game.demands, budgets, 0.5 * game.demands)
+
+
 def residual_supply(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
     """Per-borrower supply from everyone except lender i."""
     s = np.asarray(profile, dtype=float)
     return s.sum(axis=0) - s[i]
-
-
-def _water_fill(demands: np.ndarray, residual: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Maximise sum_j x_j (d_j - R_j - x_j) / d_j over {x >= 0, sum x <= c}
-    for every row R of the residual matrix and its budget c; the rate-span
-    factor is a positive constant and does not change the argmax.
-    """
-    free = demands > residual  # coordinates with positive marginal at zero
-    x = np.where(free, 0.5 * (demands - residual), 0.0)
-    bound = x.sum(axis=1) > budgets
-    if not bound.any():
-        return x
-
-    # Budget binds: find the level lam > 0 with
-    # sum_j d_j max(0, b_j - lam) / 2 = c, where b_j = 1 - R_j / d_j is the
-    # breakpoint at which coordinate j drops out.  With the breakpoints in
-    # decreasing order, every prefix k gives the lower bound
-    # (sum_{top k} d b - 2c) / sum_{top k} d on lam, tight for the prefix of
-    # coordinates above lam, so lam is the largest.  Non-free coordinates
-    # need no mask: with b <= 0 < lam their prefixes never give the largest
-    # bound and they end at zero, and every prefix weight is positive.
-    # np.sort(b) equals b in argsort order, tied values included.
-    b = 1.0 - residual[bound] / demands
-    order = np.argsort(b, axis=1)[:, ::-1]
-    d = demands[order]
-    cum_db = np.cumsum(d * np.sort(b, axis=1)[:, ::-1], axis=1)
-    lam = ((cum_db - 2.0 * budgets[bound, None]) / np.cumsum(d, axis=1)).max(axis=1)
-    x[bound] = np.maximum(0.0, 0.5 * demands * (b - lam[:, None]))
-    return x
 
 
 def _check_lender(game: LendingGame, i: int) -> None:
@@ -64,14 +77,13 @@ def _check_lender(game: LendingGame, i: int) -> None:
 def best_response(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
     """Unique utility-maximising strategy of lender i against the others."""
     _check_lender(game, i)
-    residual = residual_supply(game, profile, i)
-    return _water_fill(game.demands, residual[None], game.budgets[i:i + 1])[0]
+    return _respond(game, residual_supply(game, profile, i), game.budgets[i])
 
 
 def best_response_profile(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Stacked best responses of all lenders against the frozen profile."""
     s = np.asarray(profile, dtype=float)
-    return _water_fill(game.demands, s.sum(axis=0) - s, game.budgets)
+    return _respond(game, s.sum(axis=0) - s, game.budgets)
 
 
 def _gains_and_profile(game: LendingGame, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +94,7 @@ def _gains_and_profile(game: LendingGame, profile: np.ndarray) -> tuple[np.ndarr
     """
     s = np.asarray(profile, dtype=float)
     residual = s.sum(axis=0) - s
-    x = _water_fill(game.demands, residual, game.budgets)
+    x = _respond(game, residual, game.budgets)
     gains = game.rate_span * ((x - s) * (1.0 - (residual + x + s) / game.demands)).sum(axis=1)
     return gains, x
 

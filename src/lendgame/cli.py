@@ -63,6 +63,18 @@ class Scenario:
         return out
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _read(data: dict, key: str, convert):
+    """convert(data[key]), or a ValueError that names the key."""
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario key {key!r} has a value of the wrong type: {exc}") from None
+
+
 def parse_scenario(data: dict) -> Scenario:
     """Build and fully validate a scenario; raises ValueError with the
     violated invariant named."""
@@ -70,14 +82,14 @@ def parse_scenario(data: dict) -> Scenario:
         if key not in data:
             raise ValueError(f"scenario is missing required key {key!r}")
     game = gm.LendingGame(
-        budgets=np.asarray(data["lenders"], dtype=float),
-        demands=np.asarray(data["borrowers"], dtype=float),
-        rate_min=float(data["rate_min"]),
-        rate_max=float(data["rate_max"]),
+        budgets=_read(data, "lenders", _floats),
+        demands=_read(data, "borrowers", _floats),
+        rate_min=_read(data, "rate_min", float),
+        rate_max=_read(data, "rate_max", float),
     )
     profile = None
     if data.get("initial_profile") is not None:
-        profile = gm.validate_profile(game, np.asarray(data["initial_profile"], dtype=float))
+        profile = gm.validate_profile(game, _read(data, "initial_profile", _floats))
     dynamics = data.get("dynamics", {})
     if not isinstance(dynamics, dict):
         raise ValueError("scenario key 'dynamics' must be an object")
@@ -85,9 +97,18 @@ def parse_scenario(data: dict) -> Scenario:
                     description=str(data.get("description", "")))
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; one beyond the float range is refused here, since
+    every number in a scenario ends up a float or is compared with one."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits is beyond the float range")
+    return value
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_json_int)
     if not isinstance(data, dict):
         raise ValueError("scenario file must contain a JSON object")
     return parse_scenario(data)
@@ -351,9 +372,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.m < 1 or args.n < 1 or args.repeats < 1:
-        print("error: sizes and repeats must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     rng = np.random.Generator(np.random.Philox(args.seed))
     timings = []
     for _ in range(args.repeats):
@@ -372,6 +390,16 @@ def cmd_bench(args) -> int:
     print(f"mean_seconds {fmt(float(np.mean(timings)))}")
     print(f"min_seconds {fmt(float(np.min(timings)))}")
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type for an integer flag >= low; argparse exits 2 otherwise."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,17 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run invariant suites and oracle comparisons")
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("scenario", nargs="?", default=None)
-    group.add_argument("--random", type=int, default=None)
-    p_verify.add_argument("--max-m", dest="max_m", type=int, default=8)
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=8)
-    p_verify.add_argument("--seed", type=int, default=0)
+    group.add_argument("--random", type=_at_least(0), default=None)
+    p_verify.add_argument("--max-m", dest="max_m", type=_at_least(1), default=8)
+    p_verify.add_argument("--max-n", dest="max_n", type=_at_least(1), default=8)
+    p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the equilibrium solver")
-    p_bench.add_argument("--m", type=int, required=True)
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--m", type=_at_least(1), required=True)
+    p_bench.add_argument("--n", type=_at_least(1), required=True)
+    p_bench.add_argument("--repeats", type=_at_least(1), default=5)
+    p_bench.add_argument("--seed", type=_at_least(0), default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

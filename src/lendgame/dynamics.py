@@ -21,12 +21,13 @@ the continuous variant is also capped at round(horizon / ode_step) steps.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import _gains_and_profile, best_response, best_response_profile
+from .best_response import _capped_projection, _gains_and_profile, best_response, best_response_profile
 from .equilibrium import solve_equilibrium
 from .game import LendingGame, potential, potential_gradient, validate_profile
 
@@ -55,23 +56,10 @@ def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x <= cap}, row by row.
 
     v is one vector or a matrix whose rows are projected independently
-    (cap is then a scalar or one cap per row).  Clip at zero; where the
-    positive part fits under the cap it is the projection, otherwise
-    project onto the simplex {x >= 0, sum x = cap} with the standard
-    sort-based rule.
+    (cap is then a scalar or one cap per row): the best-response kernel
+    with unit weights.
     """
-    v = np.asarray(v, dtype=float)
-    clipped = np.maximum(v, 0.0)
-    over = clipped.sum(axis=-1) > cap
-    if not over.any():
-        return clipped
-    rows = np.atleast_2d(v)
-    u = np.sort(rows, axis=1)[:, ::-1]
-    mean = (np.cumsum(u, axis=1) - np.reshape(cap, (-1, 1))) / np.arange(1, u.shape[1] + 1)
-    # rho: last sorted position still above its shifted running mean.
-    rho = u.shape[1] - 1 - np.argmax(u[:, ::-1] > mean[:, ::-1], axis=1)
-    theta = mean[np.arange(len(u)), rho].reshape(over.shape + (1,))
-    return np.where(over[..., None], np.maximum(v - theta, 0.0), clipped)
+    return _capped_projection(np.asarray(v, dtype=float), cap)
 
 
 def _positive_weights(name: str, value, m: int) -> np.ndarray:
@@ -105,12 +93,12 @@ class DynamicsConfig:
     def resolved(self, game: LendingGame) -> "DynamicsConfig":
         """Validated copy with game-dependent defaults filled in; raises
         ConfigError naming the first invalid field."""
-        for name in ("max_iters", "snapshot_every", "seed"):
+        for name, low in (("max_iters", 1), ("snapshot_every", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            if value < low:
+                raise ConfigError(f"{name} must be at least {low}, got {value}")
         for name in ("alpha", "pg_step", "ode_step", "horizon", "stop_gap"):
             value = getattr(self, name)
             if value is None and name == "pg_step":
@@ -121,18 +109,18 @@ class DynamicsConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must lie in (0, 1]")
-        if self.stop_gap <= 0:
-            raise ConfigError("stop_gap must be positive")
-        if self.ode_step <= 0:
-            raise ConfigError("ode_step must be positive")
+        for name in ("stop_gap", "ode_step", "horizon"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
 
         if self.lender_weights is None:
             weights = np.full(game.m, 1.0 / game.m)
         else:
             weights = _positive_weights("lender_weights", self.lender_weights, game.m)
-            if not np.isclose(weights.sum(), 1.0):
+            # The tolerance Generator.choice applies to its probabilities.
+            if abs(math.fsum(weights) - 1.0) > np.sqrt(np.finfo(float).eps):
                 raise ConfigError("lender_weights must be a distribution: they sum to "
-                                  f"{weights.sum():.6g}, not 1")
+                                  f"{math.fsum(weights):.17g}, not 1")
         if self.pg_weights is None:
             pg_weights = np.ones(game.m)
         else:
@@ -263,7 +251,6 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
 
     phi_star = potential(game, solve_equilibrium(game).profile)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    snapshot_every = max(1, cfg.snapshot_every)
     phi = potential(game, s)
     steps, times, lenders, potentials, gaps = [0], [0.0], [-1], [phi], [phi_star - phi]
     snapshots = [(0, s.copy())]
@@ -286,7 +273,7 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
         lenders.append(lender)
         potentials.append(phi)
         gaps.append(gap)
-        if t % snapshot_every == 0:
+        if t % cfg.snapshot_every == 0:
             snapshots.append((t, s.copy()))
         if gap <= cfg.stop_gap:
             status = STATUS_CONVERGED

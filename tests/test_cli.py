@@ -125,9 +125,17 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
     ({"pg_weights": [float("inf"), 1.0]}, "pg_weights"),
     ({"pg_weights": ["x", 1.0]}, "pg_weights"),
     ({"lender_weights": [float("nan"), 0.5]}, "lender_weights"),
+    ({"variant": "randomised", "lender_weights": [0.500005, 0.5]}, "lender_weights"),
+    ({"max_iters": -5}, "max_iters"),
+    ({"max_iters": 0}, "max_iters"),
+    ({"horizon": -1.0}, "horizon"),
+    ({"horizon": 0.0}, "horizon"),
+    ({"snapshot_every": 0}, "snapshot_every"),
 ], ids=["unknown_key", "float_max_iters", "bool_max_iters", "string_alpha",
         "negative_seed", "infinite_horizon", "nan_pg_weights", "infinite_pg_weights",
-        "string_pg_weights", "nan_lender_weights"])
+        "string_pg_weights", "nan_lender_weights", "lender_weights_off_by_5e-6",
+        "negative_max_iters", "zero_max_iters", "negative_horizon", "zero_horizon",
+        "zero_snapshot_every"])
 def test_dynamics_bad_config_exits_2(tmp_path, dynamics, field):
     path = write_scenario(tmp_path, {**TWO_LENDER, "dynamics": dynamics})
     proc = run_cli("dynamics", path, "--output", str(tmp_path / "t.csv"))
@@ -148,6 +156,57 @@ def test_non_finite_scenario_exits_2(tmp_path, command, overrides):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "malformed scenario" in proc.stderr and "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"rate_min": None}, "rate_min"),
+    ({"rate_min": [0.02]}, "rate_min"),
+    ({"lenders": {"a": 1}}, "lenders"),
+    ({"initial_profile": {"a": 1}}, "initial_profile"),
+], ids=["null_rate_min", "list_rate_min", "object_lenders", "object_initial_profile"])
+def test_mistyped_scenario_value_exits_2(tmp_path, overrides, key):
+    path = write_scenario(tmp_path, {**TWO_LENDER, **overrides})
+    proc = run_cli("solve", path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed scenario" in proc.stderr and repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"rate_max": 10**400}),
+    ("dynamics", {"dynamics": {"horizon": 10**400}}),
+    ("dynamics", {"dynamics": {"pg_weights": [10**400, 1]}}),
+], ids=["rate_max", "horizon", "pg_weights"])
+def test_integer_beyond_float_range_exits_2(tmp_path, command, overrides):
+    path = write_scenario(tmp_path, {**TWO_LENDER, **overrides})
+    proc = run_cli(command, path, "--output", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed scenario" in proc.stderr and "float range" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--random", "-1"], "--random"),
+    (["verify", "--random", "2", "--max-m", "0"], "--max-m"),
+    (["verify", "--random", "2", "--max-n", "0"], "--max-n"),
+    (["verify", "--random", "2", "--seed", "-1"], "--seed"),
+    (["verify", "SCENARIO", "--seed", "-1"], "--seed"),
+    (["bench", "--m", "5", "--n", "5", "--seed", "-1"], "--seed"),
+    (["dynamics", "SCENARIO", "--max-iters", "-5"], "max_iters"),
+    (["dynamics", "SCENARIO", "--horizon", "-1"], "horizon"),
+], ids=["verify_negative_random", "verify_zero_max_m", "verify_zero_max_n",
+        "verify_random_negative_seed", "verify_scenario_negative_seed", "bench_negative_seed",
+        "dynamics_negative_max_iters", "dynamics_negative_horizon"])
+def test_bad_flag_exits_2(tmp_path, argv, flag):
+    path = write_scenario(tmp_path, TWO_LENDER)
+    argv = [path if arg == "SCENARIO" else arg for arg in argv]
+    if argv[0] == "dynamics":
+        argv += ["--output", str(tmp_path / "t.csv")]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert flag in proc.stderr
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_dynamics_resolves_config_once(tmp_path, monkeypatch, capsys):

@@ -47,6 +47,61 @@ def test_projection_against_grid():
         assert np.linalg.norm(p - v) <= dists.min() + 1e-6
 
 
+def reference_project_capped_simplex(v, cap):
+    """The projection's own sort-and-mean rule, from before it became the
+    unit-weight call of the best-response kernel: the reference it is held
+    to bit for bit."""
+    v = np.asarray(v, dtype=float)
+    clipped = np.maximum(v, 0.0)
+    over = clipped.sum(axis=-1) > cap
+    if not over.any():
+        return clipped
+    rows = np.atleast_2d(v)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    mean = (np.cumsum(u, axis=1) - np.reshape(cap, (-1, 1))) / np.arange(1, u.shape[1] + 1)
+    # rho: last sorted position still above its shifted running mean.
+    rho = u.shape[1] - 1 - np.argmax(u[:, ::-1] > mean[:, ::-1], axis=1)
+    theta = mean[np.arange(len(u)), rho].reshape(over.shape + (1,))
+    return np.where(over[..., None], np.maximum(v - theta, 0.0), clipped)
+
+
+def test_projection_matches_reference_bit_for_bit():
+    # Even k: one vector; odd k: a matrix, with a scalar cap half the time.
+    # Values are continuous, small integers (tied values) or non-positive,
+    # some matrices mix all-non-positive rows with others, and every input
+    # is scaled by 10^e, e in -9..12.
+    rng = seeded_rng(34)
+    for k in range(20_000):
+        n = int(rng.integers(1, 13))
+        shape = (n,) if k % 2 == 0 else (int(rng.integers(1, 9)), n)
+        kind = (k // 2) % 4
+        if kind == 1:
+            v = rng.integers(-3, 4, shape).astype(float)
+            cap = rng.integers(1, 5, shape[:-1]).astype(float)
+        else:
+            v = rng.uniform(-1.0, 2.0, shape)
+            cap = rng.uniform(0.05, 3.0, shape[:-1])
+        if kind == 2:
+            v = -np.abs(v)
+        elif kind == 3:
+            v[rng.random(shape[:-1]) < 0.5] *= -1.0
+        if len(shape) == 1 or k % 4 == 1:
+            cap = float(rng.uniform(0.05, 3.0))
+        scale = 10.0 ** int(rng.integers(-9, 13))
+        out = project_capped_simplex(v * scale, cap * scale)
+        ref = reference_project_capped_simplex(v * scale, cap * scale)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), (k, v, cap)
+
+
+def test_projection_cap_below_rounding():
+    # A cap of zero, or one below the rounding error of the largest value,
+    # zeroes every coordinate.  No prefix passes its own test there, and the
+    # last-prefix rule alone would pick the level of the whole row.
+    assert np.array_equal(project_capped_simplex(np.array([1.0, 0.5]), 0.0), [0.0, 0.0])
+    assert np.array_equal(project_capped_simplex(np.array([[1.0, 0.5], [3.0, 3.0]]), [1e-20, 1.0]),
+                          [[0.0, 0.0], [0.5, 0.5]])
+
+
 def test_eager_fixed_point(two_lender_game):
     star = solve_equilibrium(two_lender_game).profile
     new, _, gain = step_eager(two_lender_game, star, 0.7)
@@ -122,6 +177,17 @@ def test_config_validation(two_lender_game):
         DynamicsConfig(variant="fictitious_play").resolved(two_lender_game)
     with pytest.raises(ValueError, match="lender_weights"):
         DynamicsConfig(lender_weights=np.array([1.0, 0.0])).resolved(two_lender_game)
+
+
+def test_lender_weights_checked_at_the_draw_tolerance():
+    # Generator.choice accepts probabilities summing to 1 within sqrt(eps)
+    # (about 1.5e-8); the config accepts exactly those.
+    g = LendingGame([3.0, 4.0], [6.0, 7.0], 0.02, 0.08)
+    near = DynamicsConfig(variant="randomised", lender_weights=[0.5 + 1e-8, 0.5], max_iters=5)
+    assert run(g, g.zero_profile(), near).iterations >= 1
+    for off in (2e-8, 5e-6):
+        with pytest.raises(ValueError, match="lender_weights"):
+            DynamicsConfig(lender_weights=[0.5 + off, 0.5]).resolved(g)
 
 
 def test_continuous_exponential_solution(monopoly_game):
