@@ -16,7 +16,8 @@ Four variants, all provably convergent to the unique equilibrium:
 potential and the Lyapunov gap (potential at equilibrium minus current
 potential) at every step, with thinned profile snapshots.  A run stops at
 the first step whose gap is at most stop_gap, or after max_iters steps;
-the continuous variant is also capped at round(horizon / ode_step) steps.
+the continuous variant is also capped at round(horizon / ode_step) steps,
+which its config must make at least 1.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ class DynamicsConfig:
         for name in ("stop_gap", "ode_step", "horizon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # round(horizon / ode_step) < 1 exactly when the ratio is at most 1/2.
+        if self.variant == "continuous" and self.horizon / self.ode_step <= 0.5:
+            raise ConfigError(f"horizon {self.horizon!r} gives no step of ode_step "
+                              f"{self.ode_step!r}: round(horizon / ode_step) is 0")
 
         if self.lender_weights is None:
             weights = np.full(game.m, 1.0 / game.m)
@@ -247,7 +252,8 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
     s = validate_profile(game, initial_profile).copy()
     n_steps = cfg.max_iters
     if cfg.variant == "continuous":
-        n_steps = min(n_steps, int(round(cfg.horizon / cfg.ode_step)))
+        # min before round: horizon / ode_step may overflow to inf.
+        n_steps = round(min(cfg.horizon / cfg.ode_step, n_steps))
 
     phi_star = potential(game, solve_equilibrium(game).profile)
     rng = np.random.Generator(np.random.Philox(cfg.seed))

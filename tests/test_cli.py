@@ -163,7 +163,14 @@ def test_non_finite_scenario_exits_2(tmp_path, command, overrides):
     ({"rate_min": [0.02]}, "rate_min"),
     ({"lenders": {"a": 1}}, "lenders"),
     ({"initial_profile": {"a": 1}}, "initial_profile"),
-], ids=["null_rate_min", "list_rate_min", "object_lenders", "object_initial_profile"])
+    ({"lenders": [True, 10.0]}, "lenders"),
+    ({"borrowers": [False]}, "borrowers"),
+    ({"rate_min": True}, "rate_min"),
+    ({"rate_max": True}, "rate_max"),
+    ({"initial_profile": [[0.0], [True]]}, "initial_profile"),
+], ids=["null_rate_min", "list_rate_min", "object_lenders", "object_initial_profile",
+        "bool_lenders", "bool_borrowers", "bool_rate_min", "bool_rate_max",
+        "bool_initial_profile"])
 def test_mistyped_scenario_value_exits_2(tmp_path, overrides, key):
     path = write_scenario(tmp_path, {**TWO_LENDER, **overrides})
     proc = run_cli("solve", path)
@@ -194,9 +201,11 @@ def test_integer_beyond_float_range_exits_2(tmp_path, command, overrides):
     (["bench", "--m", "5", "--n", "5", "--seed", "-1"], "--seed"),
     (["dynamics", "SCENARIO", "--max-iters", "-5"], "max_iters"),
     (["dynamics", "SCENARIO", "--horizon", "-1"], "horizon"),
+    (["dynamics", "SCENARIO", "--variant", "continuous", "--horizon", "0.004"], "horizon"),
 ], ids=["verify_negative_random", "verify_zero_max_m", "verify_zero_max_n",
         "verify_random_negative_seed", "verify_scenario_negative_seed", "bench_negative_seed",
-        "dynamics_negative_max_iters", "dynamics_negative_horizon"])
+        "dynamics_negative_max_iters", "dynamics_negative_horizon",
+        "dynamics_continuous_horizon_below_half_a_step"])
 def test_bad_flag_exits_2(tmp_path, argv, flag):
     path = write_scenario(tmp_path, TWO_LENDER)
     argv = [path if arg == "SCENARIO" else arg for arg in argv]
@@ -207,6 +216,36 @@ def test_bad_flag_exits_2(tmp_path, argv, flag):
     assert "Traceback" not in proc.stderr
     assert flag in proc.stderr
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_main_builds_parser_once(tmp_path, monkeypatch, capsys):
+    # Repeated calls in one process, bad flags among them, exit and print as
+    # a fresh process does, and the parser is built on the first call only.
+    from lendgame import cli
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    path = write_scenario(tmp_path, TWO_LENDER)
+    traj = str(tmp_path / "t.csv")
+    argvs = [["solve", path],
+             ["dynamics", path, "--variant", "randomised", "--seed", "3", "--output", traj],
+             ["dynamics", path, "--alpha", "x", "--output", traj],
+             ["verify", "--random", "2", "--max-m", "3", "--max-n", "3", "--seed", "5"],
+             ["verify", "--random", "-1"],
+             ["solve", path, "--no-such-flag"]]
+    fresh = [run_cli(*argv) for argv in argvs]
+    assert [proc.returncode for proc in fresh] == [0, 0, 2, 0, 2, 2]
+    for _ in range(2):
+        for argv, proc in zip(argvs, fresh):
+            assert main(argv) == proc.returncode
+            assert capsys.readouterr().out == proc.stdout
+    assert len(builds) == 1
 
 
 def test_dynamics_resolves_config_once(tmp_path, monkeypatch, capsys):

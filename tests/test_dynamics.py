@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lendgame import (
     step_randomised,
     validate_profile,
 )
+from lendgame.dynamics import ConfigError
 from lendgame.oracle import random_game, random_profile
 
 from conftest import seeded_rng
@@ -279,6 +282,20 @@ def test_continuous_horizon_caps_steps():
     assert traj.status == "iteration_cap"
     assert traj.iterations == 5 == round(cfg.horizon / cfg.ode_step)
     assert traj.times[-1] == pytest.approx(0.05, abs=1e-15)
+
+
+def test_continuous_horizon_rounds_to_at_least_one_step():
+    g = random_square_game(8, 5, 4)
+    cfg = DynamicsConfig(variant="continuous", ode_step=0.01, horizon=0.006, stop_gap=1e-300)
+    assert run(g, g.zero_profile(), cfg).iterations == 1
+    for horizon in (0.005, 0.004, 1e-300):
+        with pytest.raises(ConfigError, match="horizon"):
+            run(g, g.zero_profile(), replace(cfg, horizon=horizon))
+    # Other variants do not read the horizon.
+    assert run(g, g.zero_profile(), replace(cfg, variant="eager", max_iters=2)).iterations == 2
+    # horizon / ode_step overflows to inf; max_iters caps the run.
+    huge = replace(cfg, horizon=1e300, ode_step=1e-10, max_iters=3)
+    assert run(g, g.zero_profile(), huge).iterations == 3
 
 
 def test_gradient_ball_bound():
