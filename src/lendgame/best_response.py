@@ -50,17 +50,28 @@ def _capped_projection(b: np.ndarray, cap, w: np.ndarray | None = None) -> np.nd
         prefix_w = np.cumsum(w_sorted, axis=1)
         prefix_b = np.cumsum(w_sorted * top, axis=1)
     row_cap = np.asarray(cap)[over, None] if np.ndim(cap) else cap
-    bounds = (prefix_b - row_cap) / prefix_w
-    last = np.where(top > bounds, np.arange(top.shape[1]), 0).max(axis=1)
-    lam = bounds[np.arange(len(bounds)), last]
-    shift = np.maximum(rows - lam[:, None], 0.0)
+    # Shortcut: when the smallest b of every over-cap row lies strictly
+    # above the full prefix's bound, the rule picks the last prefix, so that
+    # bound is lam, with the same bits: the same expression on the same
+    # numbers.  A tie falls to the selection.  Near the equilibrium nearly
+    # every capped row keeps its full support.
+    lam = (prefix_b[:, -1:] - row_cap) / prefix_w[..., -1:]
+    if not (top[:, -1:] > lam).all():
+        bounds = (prefix_b - row_cap) / prefix_w
+        last = np.where(top > bounds, np.arange(top.shape[1]), 0).max(axis=1)
+        lam = bounds[np.arange(len(bounds)), last, None]
+    shift = np.maximum(rows - lam, 0.0)
     x[over] = shift if w is None else w * shift
     return x
 
 
-def _respond(game: LendingGame, residual: np.ndarray, budgets) -> np.ndarray:
-    """Best responses to the residual supply row(s), one per budget."""
-    return _capped_projection(1.0 - residual / game.demands, budgets, 0.5 * game.demands)
+def _best_responses(game: LendingGame, s: np.ndarray, col: np.ndarray, rows=slice(None)):
+    """Best responses of the lenders `rows` (all, or one index) to profile s
+    with column sums col = s.sum(axis=0), and the residual supplies, from
+    everyone else, that they answer."""
+    residual = col - s[rows]
+    x = _capped_projection(1.0 - residual / game.demands, game.budgets[rows], 0.5 * game.demands)
+    return x, residual
 
 
 def residual_supply(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
@@ -77,24 +88,24 @@ def _check_lender(game: LendingGame, i: int) -> None:
 def best_response(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
     """Unique utility-maximising strategy of lender i against the others."""
     _check_lender(game, i)
-    return _respond(game, residual_supply(game, profile, i), game.budgets[i])
+    s = np.asarray(profile, dtype=float)
+    return _best_responses(game, s, s.sum(axis=0), i)[0]
 
 
 def best_response_profile(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Stacked best responses of all lenders against the frozen profile."""
     s = np.asarray(profile, dtype=float)
-    return _respond(game, s.sum(axis=0) - s, game.budgets)
+    return _best_responses(game, s, s.sum(axis=0))[0]
 
 
-def _gains_and_profile(game: LendingGame, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response gains and best-response profile from one kernel call.
+def _gains_and_profile(game: LendingGame, s: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response gains and best-response profile at s, with column sums
+    col = s.sum(axis=0), from one kernel call.
 
     Lender i's utility at row x is span * sum_j x_j (1 - (R_j + x_j) / d_j),
     so the gain of x over s_i is span * sum_j (x - s)(1 - (R + x + s) / d).
     """
-    s = np.asarray(profile, dtype=float)
-    residual = s.sum(axis=0) - s
-    x = _respond(game, residual, game.budgets)
+    x, residual = _best_responses(game, s, col)
     gains = game.rate_span * ((x - s) * (1.0 - (residual + x + s) / game.demands)).sum(axis=1)
     return gains, x
 
@@ -102,7 +113,8 @@ def _gains_and_profile(game: LendingGame, profile: np.ndarray) -> tuple[np.ndarr
 def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Utility improvement each lender obtains by switching to its best
     response; non-negative by optimality."""
-    return _gains_and_profile(game, profile)[0]
+    s = np.asarray(profile, dtype=float)
+    return _gains_and_profile(game, s, s.sum(axis=0))[0]
 
 
 def best_response_gain(game: LendingGame, profile: np.ndarray, i: int) -> float:

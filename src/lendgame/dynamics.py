@@ -18,6 +18,12 @@ potential) at every step, with thinned profile snapshots.  A run stops at
 the first step whose gap is at most stop_gap, or after max_iters steps;
 the continuous variant is also capped at round(horizon / ode_step) steps,
 which its config must make at least 1.
+
+`run` takes steps in blocks and evaluates the block's potentials and gaps
+in one call.  The steps a block computes after the stop step are dropped,
+so the trajectory is the one a step-by-step loop records.  Each variant's
+per-run constants are bound once, and each profile's column sums are
+computed once, shared by its potential and the next step.
 """
 
 from __future__ import annotations
@@ -28,14 +34,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import _capped_projection, _gains_and_profile, best_response, best_response_profile
+from .best_response import _best_responses, _capped_projection, _gains_and_profile
 from .equilibrium import solve_equilibrium
-from .game import LendingGame, potential, potential_gradient, validate_profile
+from .game import LendingGame, _potential, _potential_gradient, potential, validate_profile
 
 VARIANTS = ("eager", "randomised", "pseudo_gradient", "continuous")
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration_cap"
+
+# Longest block of steps whose potentials `run` evaluates in one call, and
+# the most floats its profiles may hold.  Blocks pay on small games, where
+# numpy's per-call overhead is most of a step; on a large game they would
+# only multiply the memory a step needs.
+MAX_BLOCK = 32
+BLOCK_FLOATS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -64,12 +77,14 @@ def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
 
 
 def _positive_weights(name: str, value, m: int) -> np.ndarray:
-    """value as m positive finite reals, or a ConfigError naming the field."""
+    """value as m positive finite reals, or a ConfigError naming the field.
+    Booleans are refused: numpy would read true as 1."""
     try:
         weights = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         weights = None
-    if weights is None or weights.shape != (m,) or not (np.isfinite(weights) & (weights > 0)).all():
+    if (weights is None or weights.shape != (m,) or any(isinstance(v, (bool, np.bool_)) for v in value)
+            or not (np.isfinite(weights) & (weights > 0)).all()):
         raise ConfigError(f"{name} must be {m} positive finite reals, got {value!r}")
     return weights
 
@@ -162,16 +177,60 @@ class Trajectory:
         return float(self.lyapunov_gaps[-1]) if self.lyapunov_gaps.size else float("nan")
 
 
+def _blend(s: np.ndarray, i: int, target: np.ndarray, alpha: float) -> np.ndarray:
+    """s with row i moved a fraction alpha toward target."""
+    out = s.copy()
+    out[i] = s[i] + alpha * (target - s[i])
+    return out
+
+
+# The private steps take the profile s with its column sums col =
+# s.sum(axis=0) and the variant's per-run constants.
+
+
+def _eager(game: LendingGame, s: np.ndarray, col: np.ndarray, alpha: float):
+    gains, targets = _gains_and_profile(game, s, col)
+    i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
+    return _blend(s, i, targets[i], alpha), i, gains[i]
+
+
+def _randomised(game: LendingGame, s: np.ndarray, col: np.ndarray, alpha: float, i: int) -> np.ndarray:
+    return _blend(s, i, _best_responses(game, s, col, i)[0], alpha)
+
+
+def _pseudo_gradient(game: LendingGame, s: np.ndarray, col: np.ndarray, scaled_step: np.ndarray) -> np.ndarray:
+    """scaled_step is pg_step * pg_weights[:, None]."""
+    return _capped_projection(s + scaled_step * _potential_gradient(game, s, col), game.budgets)
+
+
+def _continuous(game: LendingGame, s: np.ndarray, col: np.ndarray, h: float) -> np.ndarray:
+    def field_at(x, x_col):
+        return _best_responses(game, x, x_col)[0] - x
+
+    k1 = field_at(s, col)
+    x = s + 0.5 * h * k1
+    k2 = field_at(x, x.sum(axis=0))
+    x = s + 0.5 * h * k2
+    k3 = field_at(x, x.sum(axis=0))
+    x = s + h * k3
+    k4 = field_at(x, x.sum(axis=0))
+    out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # RK4 can leave the feasible set by integrator error only; clip it.
+    np.clip(out, 0.0, None, out=out)
+    excess = out.sum(axis=1) / game.budgets
+    over = excess > 1.0
+    if over.any():
+        out[over] /= excess[over, None]
+    return out
+
+
 def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
     """One eager update: the lender with the highest best-response gain
     (lowest index on ties) blends a fraction alpha toward its best response.
     Returns (new profile, chosen lender, that lender's gain)."""
     s = np.asarray(profile, dtype=float)
-    gains, targets = _gains_and_profile(game, s)
-    i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
-    out = s.copy()
-    out[i] = s[i] + alpha * (targets[i] - s[i])
-    return out, i, float(gains[i])
+    out, i, gain = _eager(game, s, s.sum(axis=0), alpha)
+    return out, i, float(gain)
 
 
 def step_randomised(
@@ -185,10 +244,7 @@ def step_randomised(
     and apply the same alpha-blend toward its best response."""
     s = np.asarray(profile, dtype=float)
     i = int(rng.choice(game.m, p=weights))
-    target = best_response(game, s, i)
-    out = s.copy()
-    out[i] = s[i] + alpha * (target - s[i])
-    return out, i
+    return _randomised(game, s, s.sum(axis=0), alpha, i), i
 
 
 def step_pseudo_gradient(
@@ -202,30 +258,42 @@ def step_pseudo_gradient(
     if pg_step > pg_step_bound(game, pg_weights):
         raise ValueError("pg_step exceeds the stability bound")
     s = np.asarray(profile, dtype=float)
-    moved = s + pg_step * np.asarray(pg_weights)[:, None] * potential_gradient(game, s)
-    return project_capped_simplex(moved, game.budgets)
+    return _pseudo_gradient(game, s, s.sum(axis=0), pg_step * np.asarray(pg_weights)[:, None])
 
 
 def step_continuous(game: LendingGame, profile: np.ndarray, ode_step: float) -> np.ndarray:
     """One classical RK4 step of ds_i/dt = BR_i(s) - s_i."""
     s = np.asarray(profile, dtype=float)
-    h = float(ode_step)
+    return _continuous(game, s, s.sum(axis=0), float(ode_step))
 
-    def field_at(x):
-        return best_response_profile(game, x) - x
 
-    k1 = field_at(s)
-    k2 = field_at(s + 0.5 * h * k1)
-    k3 = field_at(s + 0.5 * h * k2)
-    k4 = field_at(s + h * k3)
-    out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # RK4 can leave the feasible set by integrator error only; clip it.
-    np.clip(out, 0.0, None, out=out)
-    excess = out.sum(axis=1) / game.budgets
-    over = excess > 1.0
-    if over.any():
-        out[over] /= excess[over, None]
-    return out
+def _lender_draw(weights: np.ndarray, rng: np.random.Generator):
+    """Draws of rng.choice(len(weights), p=weights), one per call, without
+    choice's check of the weights on every draw: resolved() has checked
+    them once, at choice's tolerance."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _stepper(game: LendingGame, cfg: DynamicsConfig):
+    """The resolved config's step, (s, col) -> (next profile, updating
+    lender or -1), with its per-run constants bound."""
+    if cfg.variant == "eager":
+        return lambda s, col: _eager(game, s, col, cfg.alpha)[:2]
+    if cfg.variant == "randomised":
+        draw = _lender_draw(cfg.lender_weights, np.random.Generator(np.random.Philox(cfg.seed)))
+
+        def randomised(s, col):
+            i = draw()
+            return _randomised(game, s, col, cfg.alpha, i), i
+
+        return randomised
+    if cfg.variant == "pseudo_gradient":
+        scaled_step = cfg.pg_step * cfg.pg_weights[:, None]
+        return lambda s, col: (_pseudo_gradient(game, s, col, scaled_step), -1)
+    h = float(cfg.ode_step)
+    return lambda s, col: (_continuous(game, s, col, h), -1)
 
 
 def integrate_continuous(
@@ -256,34 +324,45 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
         n_steps = round(min(cfg.horizon / cfg.ode_step, n_steps))
 
     phi_star = potential(game, solve_equilibrium(game).profile)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    phi = potential(game, s)
-    steps, times, lenders, potentials, gaps = [0], [0.0], [-1], [phi], [phi_star - phi]
+    step = _stepper(game, cfg)
+    col = s.sum(axis=0)
+    phi = _potential(game, s[None], col[None])
+    lenders, potentials, gaps = [-1], [phi], [phi_star - phi]
     snapshots = [(0, s.copy())]
+    max_block = min(MAX_BLOCK, max(1, BLOCK_FLOATS // s.size))
+    block = np.empty((max_block,) + s.shape)
+    block_cols = np.empty((max_block, game.n))
     status = STATUS_ITERATION_CAP
-    for t in range(1, n_steps + 1):
-        lender, time = -1, float(t)
-        if cfg.variant == "eager":
-            s, lender, _ = step_eager(game, s, cfg.alpha)
-        elif cfg.variant == "randomised":
-            s, lender = step_randomised(game, s, cfg.alpha, cfg.lender_weights, rng)
-        elif cfg.variant == "pseudo_gradient":
-            s = step_pseudo_gradient(game, s, cfg.pg_weights, cfg.pg_step)
-        else:
-            s = step_continuous(game, s, cfg.ode_step)
-            time = t * cfg.ode_step
-        phi = potential(game, s)
+    t = 0  # steps recorded
+    while t < n_steps and status != STATUS_CONVERGED:
+        # Blocks grow with the steps taken.  A block's bookkeeping costs
+        # about half a pseudo-gradient step on a small game, and a run
+        # computes on average half its last block in vain.  Blocks of
+        # t // 16 steps, at most MAX_BLOCK, kept the sum lowest: 0.7-3% of
+        # the steps per variant are computed and dropped on dynamics-mix.
+        k = min(max_block, max(1, t // 16), n_steps - t)
+        for b in range(k):
+            s, lender = step(s, col)
+            col = s.sum(axis=0)
+            block[b] = s
+            block_cols[b] = col
+            lenders.append(lender)
+        phi = _potential(game, block[:k], block_cols[:k])
         gap = phi_star - phi
-        steps.append(t)
-        times.append(time)
-        lenders.append(lender)
-        potentials.append(phi)
-        gaps.append(gap)
-        if t % cfg.snapshot_every == 0:
-            snapshots.append((t, s.copy()))
-        if gap <= cfg.stop_gap:
+        hit = np.flatnonzero(gap <= cfg.stop_gap)
+        if hit.size:
             status = STATUS_CONVERGED
-            break
-    return Trajectory(steps=np.array(steps), times=np.array(times), lenders=np.array(lenders),
-                      potentials=np.array(potentials), lyapunov_gaps=np.array(gaps),
-                      snapshots=snapshots, final_profile=s, status=status)
+            k = int(hit[0]) + 1
+            del lenders[t + k + 1:]
+        potentials.append(phi[:k])
+        gaps.append(gap[:k])
+        every = cfg.snapshot_every
+        for u in range(t + every - t % every, t + k + 1, every):
+            snapshots.append((u, block[u - t - 1].copy()))
+        t += k
+
+    steps = np.arange(t + 1)
+    times = steps * float(cfg.ode_step) if cfg.variant == "continuous" else steps.astype(float)
+    return Trajectory(steps=steps, times=times, lenders=np.array(lenders),
+                      potentials=np.concatenate(potentials), lyapunov_gaps=np.concatenate(gaps),
+                      snapshots=snapshots, final_profile=block[k - 1].copy(), status=status)

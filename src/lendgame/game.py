@@ -157,19 +157,26 @@ def utility(game: LendingGame, profile: np.ndarray, i: int) -> float:
     return float(utilities(game, profile)[i])
 
 
-def potential(game: LendingGame, profile: np.ndarray) -> float:
+def potential(game: LendingGame, profile: np.ndarray) -> float | np.ndarray:
     """Potential of the game, evaluated in quadratic form (production path):
 
         sum_j [ -(span / 2 d_j) * (sum_i s_ij^2 + (sum_i s_ij)^2)
                 + span * sum_i s_ij ]
 
-    with span = rate_max - rate_min.  O(mn), no prefix sums.
+    with span = rate_max - rate_min.  O(mn), no prefix sums.  profile is
+    one (m, n) profile, giving a float, or a stack (..., m, n), giving an
+    array of shape (...) whose entries have the bits of the single calls.
     """
     s = np.asarray(profile, dtype=float)
-    col = s.sum(axis=0)
-    sq = (s * s).sum(axis=0)
+    phi = _potential(game, s, s.sum(axis=-2))
+    return float(phi) if phi.ndim == 0 else phi
+
+
+def _potential(game: LendingGame, s: np.ndarray, col: np.ndarray):
+    """Potential of profile(s) s with column sums col = s.sum(axis=-2)."""
+    sq = (s * s).sum(axis=-2)
     span = game.rate_span
-    return float(np.sum(-span / (2.0 * game.demands) * (sq + col * col) + span * col))
+    return (-span / (2.0 * game.demands) * (sq + col * col) + span * col).sum(axis=-1)
 
 
 def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
@@ -186,5 +193,9 @@ def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Gradient of the potential: entry (i, j) is
     (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1)."""
     s = np.asarray(profile, dtype=float)
-    col = s.sum(axis=0)
+    return _potential_gradient(game, s, s.sum(axis=0))
+
+
+def _potential_gradient(game: LendingGame, s: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Potential gradient at s with column sums col = s.sum(axis=0)."""
     return (game.rate_min - game.rate_max) * ((s + col) / game.demands - 1.0)

@@ -15,6 +15,7 @@ from lendgame import (
     utilities,
     utility,
 )
+from lendgame.best_response import _capped_projection
 from lendgame.oracle import grid_best_response, random_game, random_profile
 
 from conftest import seeded_rng
@@ -251,3 +252,92 @@ def test_batched_kernel_properties(instance):
         deviated[i] = x
         assert abs(gains[i] - (utilities(g, deviated)[i] - base[i])) <= 1e-12 * scale
         assert gains[i] >= -1e-12 * scale
+
+
+def reference_capped_projection(b, cap, w=None):
+    """The kernel before the full-prefix shortcut: the last-prefix rule on
+    every over-cap row.  Returns x and, per over-cap row, the index of the
+    prefix the rule picked (None when no row is over the cap)."""
+    x = np.maximum(b, 0.0) if w is None else w * np.maximum(b, 0.0)
+    over = x.sum(axis=-1) > cap
+    if not over.any():
+        return x, None
+    rows = b[over]
+    top = np.sort(rows, axis=1)[:, ::-1]
+    if w is None:
+        prefix_w = np.arange(1, top.shape[1] + 1)
+        prefix_b = np.cumsum(top, axis=1)
+    else:
+        w_sorted = w[np.argsort(rows, axis=1)[:, ::-1]]
+        prefix_w = np.cumsum(w_sorted, axis=1)
+        prefix_b = np.cumsum(w_sorted * top, axis=1)
+    row_cap = np.asarray(cap)[over, None] if np.ndim(cap) else cap
+    bounds = (prefix_b - row_cap) / prefix_w
+    last = np.where(top > bounds, np.arange(top.shape[1]), 0).max(axis=1)
+    lam = bounds[np.arange(len(bounds)), last]
+    shift = np.maximum(rows - lam[:, None], 0.0)
+    x[over] = shift if w is None else w * shift
+    return x, last
+
+
+def kernel_inputs():
+    """(b, cap, w): the 20,000 inputs of the projection's bit-for-bit test
+    in test_dynamics.py, each with weights w = d / 2."""
+    rng = seeded_rng(34)
+    weights = seeded_rng(35)
+    for k in range(20_000):
+        n = int(rng.integers(1, 13))
+        shape = (n,) if k % 2 == 0 else (int(rng.integers(1, 9)), n)
+        kind = (k // 2) % 4
+        if kind == 1:
+            v = rng.integers(-3, 4, shape).astype(float)
+            cap = rng.integers(1, 5, shape[:-1]).astype(float)
+        else:
+            v = rng.uniform(-1.0, 2.0, shape)
+            cap = rng.uniform(0.05, 3.0, shape[:-1])
+        if kind == 2:
+            v = -np.abs(v)
+        elif kind == 3:
+            v[rng.random(shape[:-1]) < 0.5] *= -1.0
+        if len(shape) == 1 or k % 4 == 1:
+            cap = float(rng.uniform(0.05, 3.0))
+        scale = 10.0 ** int(rng.integers(-9, 13))
+        d = weights.integers(1, 9, n).astype(float) if kind == 1 else weights.uniform(0.5, 100.0, n)
+        yield v * scale, cap * scale, 0.5 * d
+
+
+def test_kernel_shortcut_matches_reference_bit_for_bit():
+    # Unit and w = d / 2 weights, as the projection and the best responses
+    # call the kernel.  The full-prefix shortcut applies when the rule picks
+    # the last prefix in every over-cap row; both it and the general rule
+    # must run often.
+    branches = {"shortcut": 0, "general": 0}
+    for b, cap, w in kernel_inputs():
+        for weights in (None, w):
+            out = _capped_projection(b, cap, weights)
+            ref, last = reference_capped_projection(b, cap, weights)
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), (b, cap, weights)
+            if last is not None:
+                branches["shortcut" if (last == b.shape[-1] - 1).all() else "general"] += 1
+    assert branches["shortcut"] >= 1_000 and branches["general"] >= 1_000, branches
+
+
+def test_kernel_tie_at_full_prefix_bound():
+    # The smallest b equals the full prefix's bound exactly: small integers
+    # and half-integer weights, scaled by powers of two, keep
+    # cap = sum w b - min b sum w exact.  The shortcut needs the smallest b
+    # strictly above the bound, so ties take the general rule, which picks
+    # an earlier prefix.
+    rng = seeded_rng(36)
+    for _ in range(2_000):
+        n = int(rng.integers(2, 13))
+        b = rng.integers(1, 7, n).astype(float)
+        b[0] = b.min() + 1.0
+        scale = 2.0 ** int(rng.integers(-30, 41))
+        for w in (None, 0.5 * rng.integers(1, 9, n)):
+            ww = np.ones(n) if w is None else w
+            cap = float((ww * b).sum() - b.min() * ww.sum()) * scale
+            out = _capped_projection(b * scale, cap, w)
+            ref, last = reference_capped_projection(b * scale, cap, w)
+            assert out.tobytes() == ref.tobytes(), (b, cap, w)
+            assert last[0] < n - 1

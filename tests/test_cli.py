@@ -124,6 +124,7 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
     ({"pg_weights": [float("nan"), 1.0]}, "pg_weights"),
     ({"pg_weights": [float("inf"), 1.0]}, "pg_weights"),
     ({"pg_weights": ["x", 1.0]}, "pg_weights"),
+    ({"variant": "pseudo_gradient", "pg_weights": [True, 1.0]}, "pg_weights"),
     ({"lender_weights": [float("nan"), 0.5]}, "lender_weights"),
     ({"variant": "randomised", "lender_weights": [0.500005, 0.5]}, "lender_weights"),
     ({"max_iters": -5}, "max_iters"),
@@ -133,7 +134,8 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
     ({"snapshot_every": 0}, "snapshot_every"),
 ], ids=["unknown_key", "float_max_iters", "bool_max_iters", "string_alpha",
         "negative_seed", "infinite_horizon", "nan_pg_weights", "infinite_pg_weights",
-        "string_pg_weights", "nan_lender_weights", "lender_weights_off_by_5e-6",
+        "string_pg_weights", "bool_pg_weights", "nan_lender_weights",
+        "lender_weights_off_by_5e-6",
         "negative_max_iters", "zero_max_iters", "negative_horizon", "zero_horizon",
         "zero_snapshot_every"])
 def test_dynamics_bad_config_exits_2(tmp_path, dynamics, field):

@@ -7,11 +7,14 @@ from lendgame import (
     VARIANTS,
     DynamicsConfig,
     LendingGame,
+    Trajectory,
     best_response,
     best_response_gains,
+    best_response_profile,
     integrate_continuous,
     pg_step_bound,
     potential,
+    potential_gradient,
     project_capped_simplex,
     run,
     solve_equilibrium,
@@ -20,7 +23,7 @@ from lendgame import (
     step_randomised,
     validate_profile,
 )
-from lendgame.dynamics import ConfigError
+from lendgame.dynamics import ConfigError, _lender_draw
 from lendgame.oracle import random_game, random_profile
 
 from conftest import seeded_rng
@@ -182,6 +185,15 @@ def test_config_validation(two_lender_game):
         DynamicsConfig(lender_weights=np.array([1.0, 0.0])).resolved(two_lender_game)
 
 
+def test_boolean_weights_refused(monopoly_game, two_lender_game):
+    # numpy reads true as 1: one lender with weight [true] was a valid
+    # distribution, and pg_weights [true, 1.0] ran with weights [1, 1].
+    with pytest.raises(ConfigError, match="lender_weights"):
+        DynamicsConfig(variant="randomised", lender_weights=[True]).resolved(monopoly_game)
+    with pytest.raises(ConfigError, match="pg_weights"):
+        DynamicsConfig(variant="pseudo_gradient", pg_weights=np.array([True, True])).resolved(two_lender_game)
+
+
 def test_lender_weights_checked_at_the_draw_tolerance():
     # Generator.choice accepts probabilities summing to 1 within sqrt(eps)
     # (about 1.5e-8); the config accepts exactly those.
@@ -330,3 +342,172 @@ def test_eager_target_is_best_response_row():
         expected = s[i] + 0.5 * (best_response(g, s, i) - s[i])
         assert out[i].tobytes() == expected.tobytes()
         assert gain == best_response_gains(g, s)[i]
+
+
+def test_lender_draw_matches_generator_choice():
+    # run draws the randomised lender from a CDF built once per run; the
+    # lenders must be those of Generator.choice, draw for draw.
+    r = np.random.default_rng(7)
+    cases = {"uniform": np.full(5, 0.2), "random": r.dirichlet(np.ones(7)),
+             "near_point_mass": np.array([1.0 - 1e-12, 1e-12])}
+    for name, weights in cases.items():
+        for seed in range(4):  # 4 x 25,000 = 100,000 draws per weighting
+            draw = _lender_draw(weights, seeded_rng(seed))
+            reference = seeded_rng(seed)
+            got = [draw() for _ in range(25_000)]
+            want = [int(reference.choice(weights.size, p=weights)) for _ in range(25_000)]
+            assert got == want, (name, seed)
+
+
+def reference_run(game, initial_profile, config):
+    """The step-by-step loop `run` replaced, with the step bodies it called:
+    one potential per step, every per-run constant recomputed per step,
+    Generator.choice for the randomised lender.  The reference `run` is
+    held to byte for byte."""
+    cfg = config.resolved(game)
+    s = validate_profile(game, initial_profile).copy()
+    n_steps = cfg.max_iters
+    if cfg.variant == "continuous":
+        n_steps = round(min(cfg.horizon / cfg.ode_step, n_steps))
+
+    def blend(s, i, target):
+        out = s.copy()
+        out[i] = s[i] + cfg.alpha * (target - s[i])
+        return out
+
+    def field_at(x):
+        return best_response_profile(game, x) - x
+
+    phi_star = potential(game, solve_equilibrium(game).profile)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    phi = potential(game, s)
+    steps, times, lenders, potentials, gaps = [0], [0.0], [-1], [phi], [phi_star - phi]
+    snapshots = [(0, s.copy())]
+    status = "iteration_cap"
+    for t in range(1, n_steps + 1):
+        lender, time = -1, float(t)
+        if cfg.variant == "eager":
+            gains = best_response_gains(game, s)
+            lender = int(np.argmax(gains))
+            s = blend(s, lender, best_response_profile(game, s)[lender])
+        elif cfg.variant == "randomised":
+            lender = int(rng.choice(game.m, p=cfg.lender_weights))
+            s = blend(s, lender, best_response(game, s, lender))
+        elif cfg.variant == "pseudo_gradient":
+            assert cfg.pg_step <= pg_step_bound(game, cfg.pg_weights)
+            moved = s + cfg.pg_step * np.asarray(cfg.pg_weights)[:, None] * potential_gradient(game, s)
+            s = project_capped_simplex(moved, game.budgets)
+        else:
+            h = cfg.ode_step
+            k1 = field_at(s)
+            k2 = field_at(s + 0.5 * h * k1)
+            k3 = field_at(s + 0.5 * h * k2)
+            k4 = field_at(s + h * k3)
+            s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.clip(s, 0.0, None, out=s)
+            excess = s.sum(axis=1) / game.budgets
+            over = excess > 1.0
+            if over.any():
+                s[over] /= excess[over, None]
+            time = t * cfg.ode_step
+        phi = potential(game, s)
+        gap = phi_star - phi
+        steps.append(t)
+        times.append(time)
+        lenders.append(lender)
+        potentials.append(phi)
+        gaps.append(gap)
+        if t % cfg.snapshot_every == 0:
+            snapshots.append((t, s.copy()))
+        if gap <= cfg.stop_gap:
+            status = "converged"
+            break
+    return Trajectory(steps=np.array(steps), times=np.array(times), lenders=np.array(lenders),
+                      potentials=np.array(potentials), lyapunov_gaps=np.array(gaps),
+                      snapshots=snapshots, final_profile=s, status=status)
+
+
+def assert_same_trajectory(got, want, context):
+    for field in ("steps", "times", "lenders", "potentials", "lyapunov_gaps", "final_profile"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (field, context)
+    assert got.status == want.status, context
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots], context
+    for (t, a), (_, b) in zip(got.snapshots, want.snapshots):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), ("snapshot", t, context)
+
+
+def scaled_game_and_start(rng, scale):
+    g = random_game(rng, 12, 12)
+    start = random_profile(rng, g)
+    return LendingGame(g.budgets * scale, g.demands * scale, g.rate_min, g.rate_max), start * scale
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_matches_reference_random_games(variant):
+    # Games up to 12 x 12 at magnitudes 1e-9 to 1e12.  stop_gap is a fixed
+    # fraction of the utility scale, so some runs stop early, some late and
+    # some at the cap; snapshot_every is 1, 7 or more than the cap.
+    rng = seeded_rng(50 + VARIANTS.index(variant))
+    for k in range(12):
+        g, start = scaled_game_and_start(rng, 10.0 ** int(rng.integers(-9, 13)))
+        cfg = DynamicsConfig(variant=variant, alpha=float(rng.uniform(0.2, 1.0)),
+                             max_iters=int(rng.integers(1, 400)), ode_step=0.05,
+                             stop_gap=g.utility_scale * 10.0 ** -float(rng.uniform(2, 8)),
+                             snapshot_every=(1, 7, 1000)[k % 3], seed=int(rng.integers(1 << 31)))
+        assert_same_trajectory(run(g, start, cfg), reference_run(g, start, cfg), (variant, k))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_matches_reference_at_every_stop_step(variant):
+    # stop_gap set to the reference's gap at step T stops the run at T, for
+    # every T up to 100: on the first step of the run, on the first and the
+    # last step of each block, and in between.
+    g = random_square_game(60, 4, 3)
+    start = g.zero_profile()
+    base = DynamicsConfig(variant=variant, alpha=0.3, max_iters=100, stop_gap=1e-300,
+                          ode_step=0.01, snapshot_every=7, seed=3)
+    gaps = reference_run(g, start, base).lyapunov_gaps
+    stops = [t for t in range(1, 101) if gaps[t] < gaps[:t].min()]
+    assert len(stops) >= 90
+    for t in stops:
+        cfg = replace(base, stop_gap=float(gaps[t]))
+        traj = run(g, start, cfg)
+        assert traj.iterations == t and traj.status == "converged"
+        assert_same_trajectory(traj, reference_run(g, start, cfg), (variant, t))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_matches_reference_at_every_step_cap(variant):
+    g = random_square_game(61, 3, 5)
+    for max_iters in range(1, 80):
+        cfg = DynamicsConfig(variant=variant, alpha=0.3, max_iters=max_iters, stop_gap=1e-300,
+                             snapshot_every=3, seed=4)
+        traj = run(g, g.zero_profile(), cfg)
+        assert traj.iterations == max_iters and traj.status == "iteration_cap"
+        assert_same_trajectory(traj, reference_run(g, g.zero_profile(), cfg), (variant, max_iters))
+
+
+def test_run_matches_reference_on_a_large_game():
+    # 260 x 260 floats exceed a block's budget: every block is one step.
+    rng = seeded_rng(63)
+    g = LendingGame(rng.uniform(0.5, 100.0, 260), rng.uniform(0.5, 100.0, 260), 0.02, 0.08)
+    start = random_profile(rng, g)
+    for variant in ("pseudo_gradient", "randomised"):
+        cfg = DynamicsConfig(variant=variant, max_iters=12, stop_gap=1e-300, snapshot_every=5, seed=6)
+        assert_same_trajectory(run(g, start, cfg), reference_run(g, start, cfg), variant)
+
+
+def test_run_matches_reference_horizon_cap_and_equilibrium_start():
+    g = random_square_game(62, 5, 4)
+    capped = DynamicsConfig(variant="continuous", ode_step=0.01, horizon=0.57, stop_gap=1e-300,
+                            snapshot_every=1)
+    traj = run(g, g.zero_profile(), capped)
+    assert traj.iterations == 57
+    assert_same_trajectory(traj, reference_run(g, g.zero_profile(), capped), "horizon")
+    star = solve_equilibrium(g).profile
+    for variant in VARIANTS:
+        cfg = DynamicsConfig(variant=variant, seed=5)
+        traj = run(g, star, cfg)
+        assert traj.iterations == 1 and traj.status == "converged"
+        assert_same_trajectory(traj, reference_run(g, star, cfg), ("equilibrium", variant))

@@ -129,6 +129,27 @@ def test_potential_forms_agree():
         assert potential(g, s) == pytest.approx(potential_telescoped(g, s), abs=1e-10)
 
 
+def test_stacked_potential_matches_single_calls_bit_for_bit():
+    # run evaluates a block of profiles in one call; each entry must have
+    # the bits of the single call, for n up to 12 and magnitudes 1e-9 to 1e12.
+    rng = seeded_rng(6)
+    profiles = 0
+    for k in range(600):
+        m, n = (int(x) for x in rng.integers(1, 13, 2))
+        scale = 10.0 ** int(rng.integers(-9, 13))
+        g = LendingGame(rng.uniform(0.5, 100.0, m) * scale, rng.uniform(0.5, 100.0, n) * scale,
+                        0.02, float(rng.uniform(0.03, 0.3)))
+        stack = rng.uniform(0.0, 10.0, (int(rng.integers(1, 70)), m, n)) * scale
+        if k % 2:
+            stack = stack[None]  # two leading axes
+        stacked = potential(g, stack)
+        single = np.array([potential(g, s) for s in stack.reshape(-1, m, n)])
+        assert stacked.shape == stack.shape[:-2]
+        assert stacked.tobytes() == single.tobytes(), k
+        profiles += single.size
+    assert profiles > 10_000
+
+
 def test_potential_difference_identity():
     # Exact-potential property: a unilateral deviation changes the potential
     # by exactly the deviator's utility change.
