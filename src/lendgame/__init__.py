@@ -40,7 +40,6 @@ from .dynamics import (
     pg_step_bound,
     project_capped_simplex,
     run,
-    step_continuous,
     step_eager,
     step_pseudo_gradient,
     step_randomised,

@@ -1,13 +1,12 @@
 """Command-line surface: solve / dynamics / verify / bench.
 
-Scenario files are JSON with keys `lenders` (budgets), `borrowers`
-(demands), `rate_min`, `rate_max`, optional `initial_profile` (row-major
-array of arrays), optional `dynamics` (DynamicsConfig overrides) and
-optional `description`.  Trajectories are exported as CSV with the column
-order `step,time,lender_updated,potential,lyapunov_gap`, plus a side file
-of thinned profile snapshots.  Every float that `solve` and `dynamics`
-write is formatted with `%.17g` (17 significant digits, enough to read
-back the same double), so outputs are byte-stable and diff meaningfully.
+A scenario is a JSON object checked by the tables game.SCENARIO and
+game.SCALES, and its `dynamics` block by dynamics.FIELDS on every command;
+CLI flags override the block.  Trajectories are CSV with the columns
+`step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
+thinned profile snapshots.  Every float that `solve` and `dynamics` write
+is formatted with `%.17g` (17 significant digits, enough to read back the
+same double), so outputs are byte-stable and diff meaningfully.
 
 Exit codes: 0 success, 2 malformed scenario or flags, 3 I/O failure,
 4 iteration cap reached, 5 verification failure.
@@ -21,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .best_response import best_response_gains
 from . import equilibrium as eq
 from . import game as gm
 from . import oracle as orc
-from .dynamics import VARIANTS, ConfigError, DynamicsConfig, STATUS_CONVERGED, run
+from .dynamics import FIELDS, VARIANTS, ConfigError, DynamicsConfig, STATUS_CONVERGED, run
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -85,52 +84,19 @@ class Scenario:
         return out
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _has_bool(value) -> bool:
-    """Whether a JSON value is, or nests in lists, a boolean."""
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, bool):
-            return True
-        if isinstance(item, list):
-            pending.extend(item)
-    return False
-
-
-def _read(data: dict, key: str, convert):
-    """convert(data[key]), or a ValueError that names the key.  Booleans are
-    refused: float(True) and np.asarray([True], dtype=float) would take
-    them as 1."""
-    if _has_bool(data[key]):
-        raise ValueError(f"scenario key {key!r} holds a boolean where a number is expected")
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario key {key!r} has a value of the wrong type: {exc}") from None
-
-
 def parse_scenario(data: dict) -> Scenario:
-    """Build and fully validate a scenario; raises ValueError with the
-    violated invariant named."""
-    for key in ("lenders", "borrowers", "rate_min", "rate_max"):
-        if key not in data:
-            raise ValueError(f"scenario is missing required key {key!r}")
-    game = gm.LendingGame(
-        budgets=_read(data, "lenders", _floats),
-        demands=_read(data, "borrowers", _floats),
-        rate_min=_read(data, "rate_min", float),
-        rate_max=_read(data, "rate_max", float),
-    )
-    profile = None
-    if data.get("initial_profile") is not None:
-        profile = gm.validate_profile(game, _read(data, "initial_profile", _floats))
-    dynamics = data.get("dynamics", {})
-    if not isinstance(dynamics, dict):
-        raise ValueError("scenario key 'dynamics' must be an object")
+    """Build and fully validate a scenario, its `dynamics` block included;
+    raises ValueError naming the key or field, or the violated invariant."""
+    values = gm.check(gm.SCENARIO, data)
+    game = gm.LendingGame(values["lenders"], values["borrowers"], values["rate_min"], values["rate_max"])
+    profile = values.get("initial_profile")
+    if profile is not None:
+        profile = gm.validate_profile(game, profile)
+    dynamics = values.get("dynamics") or {}
+    try:
+        gm.check(FIELDS, vars(DynamicsConfig(**dynamics)))
+    except (TypeError, ValueError) as exc:   # TypeError: a key that is no field
+        raise ValueError(f"invalid dynamics configuration: {exc}") from None
     return Scenario(game=game, initial_profile=profile, dynamics=dynamics,
                     description=str(data.get("description", "")))
 
@@ -234,28 +200,15 @@ def export_trajectory(traj, path: str) -> None:
                 fh.write(f"{step}," + _join_floats(profile.ravel(), ",") + "\n")
 
 
-def build_config(scenario: Scenario, args) -> DynamicsConfig:
-    """Scenario `dynamics` overrides, then CLI flags; an unknown key raises
-    ConfigError.  `run` validates the rest."""
-    try:
-        cfg = DynamicsConfig(**scenario.dynamics)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    if args.variant is not None:
-        cfg.variant = args.variant.replace("-", "_")
-    for key in ("alpha", "pg_step", "ode_step", "horizon", "max_iters", "stop_gap", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
 def cmd_dynamics(args) -> int:
     scenario = load_scenario_or_exit(args.scenario)
     game = scenario.game
     start = scenario.initial_profile if scenario.initial_profile is not None else game.zero_profile()
+    flags = {key: value for key, value in vars(args).items() if key in FIELDS and value is not None}
+    if args.variant is not None:
+        flags["variant"] = args.variant.replace("-", "_")
     try:
-        traj = run(game, start, build_config(scenario, args))
+        traj = run(game, start, replace(DynamicsConfig(**scenario.dynamics), **flags))
     except ConfigError as exc:
         print(f"error: invalid dynamics configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -29,14 +29,13 @@ computed once, shared by its potential and the next step.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .best_response import _best_responses, _capped_projection, _gains_and_profile
 from .equilibrium import solve_equilibrium
-from .game import LendingGame, _potential, _potential_gradient, potential, validate_profile
+from .game import LendingGame, Rule, _potential, _potential_gradient, check, potential, validate_profile
 
 VARIANTS = ("eager", "randomised", "pseudo_gradient", "continuous")
 
@@ -76,83 +75,53 @@ def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
     return _capped_projection(np.asarray(v, dtype=float), cap)
 
 
-def _positive_weights(name: str, value, m: int) -> np.ndarray:
-    """value as m positive finite reals, or a ConfigError naming the field.
-    Booleans are refused: numpy would read true as 1."""
-    try:
-        weights = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        weights = None
-    if (weights is None or weights.shape != (m,) or any(isinstance(v, (bool, np.bool_)) for v in value)
-            or not (np.isfinite(weights) & (weights > 0)).all()):
-        raise ConfigError(f"{name} must be {m} positive finite reals, got {value!r}")
-    return weights
+def _field(default, rule: Rule):
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass
 class DynamicsConfig:
-    """Parameters of a dynamics run.  Fields left as None get defaults
-    derived from the game when the run starts."""
+    """Parameters of a dynamics run, each field with its row of FIELDS.  None
+    takes a default from the game when the run starts: uniform
+    lender_weights, unit pg_weights and half the pg_step stability bound."""
 
-    variant: str = "eager"
-    alpha: float = 1.0
-    lender_weights: np.ndarray | None = None   # randomised variant; default uniform
-    pg_weights: np.ndarray | None = None       # pseudo-gradient weights; default ones
-    pg_step: float | None = None               # default: half the stability bound
-    ode_step: float = 0.01
-    horizon: float = 50.0
-    max_iters: int = 100_000
-    stop_gap: float = 1e-8
-    snapshot_every: int = 10
-    seed: int = 0
+    variant: str = _field("eager", Rule(VARIANTS))
+    alpha: float = _field(1.0, Rule(float, low=0.0, high=1.0))
+    lender_weights: np.ndarray | None = _field(None, Rule(float, 1, low=0.0, optional=True))
+    pg_weights: np.ndarray | None = _field(None, Rule(float, 1, low=0.0, optional=True))
+    pg_step: float | None = _field(None, Rule(float, optional=True))
+    ode_step: float = _field(0.01, Rule(float, low=0.0))
+    horizon: float = _field(50.0, Rule(float, low=0.0))
+    max_iters: int = _field(100_000, Rule(int, low=1))
+    stop_gap: float = _field(1e-8, Rule(float, low=0.0))
+    snapshot_every: int = _field(10, Rule(int, low=1))
+    seed: int = _field(0, Rule(int, low=0))
 
     def resolved(self, game: LendingGame) -> "DynamicsConfig":
-        """Validated copy with game-dependent defaults filled in; raises
-        ConfigError naming the first invalid field."""
-        for name, low in (("max_iters", 1), ("snapshot_every", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be at least {low}, got {value}")
-        for name in ("alpha", "pg_step", "ode_step", "horizon", "stop_gap"):
-            value = getattr(self, name)
-            if value is None and name == "pg_step":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in (0, 1]")
-        for name in ("stop_gap", "ode_step", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        """Copy checked by FIELDS, then against the game and across fields, with
+        the defaults filled in; raises ConfigError naming the first bad field."""
+        cfg = replace(self, **check(FIELDS, vars(self), ConfigError))
         # round(horizon / ode_step) < 1 exactly when the ratio is at most 1/2.
-        if self.variant == "continuous" and self.horizon / self.ode_step <= 0.5:
-            raise ConfigError(f"horizon {self.horizon!r} gives no step of ode_step "
-                              f"{self.ode_step!r}: round(horizon / ode_step) is 0")
-
-        if self.lender_weights is None:
-            weights = np.full(game.m, 1.0 / game.m)
-        else:
-            weights = _positive_weights("lender_weights", self.lender_weights, game.m)
-            # The tolerance Generator.choice applies to its probabilities.
-            if abs(math.fsum(weights) - 1.0) > np.sqrt(np.finfo(float).eps):
-                raise ConfigError("lender_weights must be a distribution: they sum to "
-                                  f"{math.fsum(weights):.17g}, not 1")
-        if self.pg_weights is None:
-            pg_weights = np.ones(game.m)
-        else:
-            pg_weights = _positive_weights("pg_weights", self.pg_weights, game.m)
-
+        if cfg.variant == "continuous" and cfg.horizon / cfg.ode_step <= 0.5:
+            raise ConfigError(f"horizon {cfg.horizon!r} gives no step of ode_step "
+                              f"{cfg.ode_step!r}: round(horizon / ode_step) is 0")
+        weights = np.full(game.m, 1.0 / game.m) if cfg.lender_weights is None else cfg.lender_weights
+        pg_weights = np.ones(game.m) if cfg.pg_weights is None else cfg.pg_weights
+        for name, w in (("lender_weights", weights), ("pg_weights", pg_weights)):
+            if w.shape != (game.m,):
+                raise ConfigError(f"{name} must hold {game.m} weights, one per lender, got {w.size}")
+        # The tolerance Generator.choice applies to its probabilities.
+        if abs(math.fsum(weights) - 1.0) > np.sqrt(np.finfo(float).eps):
+            raise ConfigError("lender_weights must be a distribution: they sum to "
+                              f"{math.fsum(weights):.17g}, not 1")
         bound = pg_step_bound(game, pg_weights)
-        pg_step = self.pg_step if self.pg_step is not None else 0.5 * bound
+        pg_step = cfg.pg_step if cfg.pg_step is not None else 0.5 * bound
         if not 0 < pg_step <= bound:
-            raise ConfigError(
-                f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]"
-            )
-        return replace(self, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step)
+            raise ConfigError(f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]")
+        return replace(cfg, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step)
+
+
+FIELDS = {f.name: f.metadata["rule"] for f in fields(DynamicsConfig)}
 
 
 @dataclass
@@ -259,12 +228,6 @@ def step_pseudo_gradient(
         raise ValueError("pg_step exceeds the stability bound")
     s = np.asarray(profile, dtype=float)
     return _pseudo_gradient(game, s, s.sum(axis=0), pg_step * np.asarray(pg_weights)[:, None])
-
-
-def step_continuous(game: LendingGame, profile: np.ndarray, ode_step: float) -> np.ndarray:
-    """One classical RK4 step of ds_i/dt = BR_i(s) - s_i."""
-    s = np.asarray(profile, dtype=float)
-    return _continuous(game, s, s.sum(axis=0), float(ode_step))
 
 
 def _lender_draw(weights: np.ndarray, rng: np.random.Generator):

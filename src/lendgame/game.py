@@ -12,9 +12,74 @@ borrower indices are 0-based.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def real(value, ndim: int = 0):
+    """value as a float, or a float array with ndim non-empty axes, or None.
+    The one rule for a number from outside the program: a finite real or
+    integer, never a boolean, which float() and numpy would read as 1."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # also ragged lists, huge integers
+        return None
+    types = set(map(type, np.asarray(value, dtype=object).flat))
+    if (x.ndim != ndim or x.size == 0 or not np.isfinite(x).all()
+            or not all(issubclass(t, numbers.Real) and t is not bool for t in types)):
+        return None
+    return x if ndim else float(x)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A row of an input table: a key's type, shape and range.  kind is
+    float (see `real`; an array if ndim > 0), int (never a boolean), dict or
+    a tuple of the strings allowed.  Numbers lie in (low, high], integers
+    in [low, inf); an optional key may be absent or null, its default."""
+
+    kind: type | tuple = float
+    ndim: int = 0
+    low: float = -math.inf
+    high: float = math.inf
+    optional: bool = False
+    what: str = ""   # what the key holds, for messages
+
+    def __str__(self) -> str:
+        text = f"a non-empty {self.ndim}-D array of finite numbers" if self.ndim else {
+            float: "a finite number", int: "an integer", dict: "an object"}.get(self.kind, f"one of {self.kind}")
+        if self.low > -math.inf:
+            text += f" >= {self.low}" if self.kind is int else f" in ({self.low:g}, {self.high:g}]"
+        return text + ", or null" * self.optional + (f" ({self.what})" if self.what else "")
+
+
+def check(rules: dict[str, Rule], data: dict, error: type[ValueError] = ValueError) -> dict:
+    """The entries of data that have rows in rules and are not null, each
+    converted by its row: the one checker of every input table.  Raises
+    error naming the first key that is missing or breaks its row."""
+    out = {}
+    for key, rule in rules.items():
+        value = data.get(key)
+        if value is None and rule.optional:
+            continue
+        if key not in data:
+            raise error(f"missing required key {key!r}")
+        x = real(value, rule.ndim) if rule.kind is float else value
+        if rule.kind is float:
+            ok = x is not None and bool(np.logical_and(x > rule.low, x <= rule.high).all())
+        elif rule.kind is int:
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= rule.low
+        else:
+            ok = isinstance(value, dict) if rule.kind is dict else isinstance(value, str) and value in rule.kind
+        if not ok:
+            raise error(f"{key!r} must be {rule}, got {reprlib.repr(value)}")
+        out[key] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -27,28 +92,18 @@ class LendingGame:
     rate_max: float
 
     def __post_init__(self):
-        budgets = np.asarray(self.budgets, dtype=float)
-        demands = np.asarray(self.demands, dtype=float)
-        if budgets.ndim != 1 or budgets.size < 1:
-            raise ValueError("budgets must be a non-empty 1-D array")
-        if demands.ndim != 1 or demands.size < 1:
-            raise ValueError("demands must be a non-empty 1-D array")
-        if not np.all(budgets > 0):
-            raise ValueError("every lender budget must be positive")
-        if not np.all(demands > 0):
-            raise ValueError("every borrower demand must be positive")
-        if not (np.isfinite(budgets).all() and np.isfinite(demands).all()):
-            raise ValueError("budgets and demands must be finite")
-        if not (np.isfinite(self.rate_min) and np.isfinite(self.rate_max)):
-            raise ValueError("rate_min and rate_max must be finite")
-        if not (0 < self.rate_min < self.rate_max):
-            raise ValueError(
-                "rate corridor invariant violated: need 0 < rate_min < rate_max"
-            )
-        budgets.setflags(write=False)
-        demands.setflags(write=False)
-        object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "demands", demands)
+        fields = ("budgets", "demands", "rate_min", "rate_max")
+        values = check(SCENARIO, dict(zip(SCENARIO, map(self.__getattribute__, fields))))
+        if not 0 < values["rate_min"] < values["rate_max"]:
+            raise ValueError("rate corridor invariant violated: need 0 < rate_min < rate_max")
+        for field, value in zip(fields, values.values()):
+            object.__setattr__(self, field, value)
+        self.budgets.setflags(write=False)
+        self.demands.setflags(write=False)
+        with np.errstate(over="ignore"):
+            for name, scale in SCALES:
+                if not sys.float_info.min <= scale(self) <= sys.float_info.max:
+                    raise ValueError(f"{name} is {scale(self):.3g}, outside the normal float range")
 
     @property
     def m(self) -> int:
@@ -85,6 +140,35 @@ class LendingGame:
 
     def zero_profile(self) -> np.ndarray:
         return np.zeros((self.m, self.n))
+
+
+# The scenario's keys; `description` is free text.  The first four rows are
+# LendingGame's fields, in order; parse_scenario reads the rest.
+SCENARIO = {
+    "lenders": Rule(float, 1, low=0.0, what="lender budgets"),
+    "borrowers": Rule(float, 1, low=0.0, what="borrower demands"),
+    "rate_min": Rule(float, what="deposit facility rate"),
+    "rate_max": Rule(float, what="marginal lending facility rate"),
+    "initial_profile": Rule(float, 2, optional=True),
+    "dynamics": Rule(dict, optional=True),
+}
+
+# Derived rows of the scenario table, read by LendingGame.  The code squares
+# or divides by these scales, so each must be a finite, normal float, or a
+# run gives inf, NaN or a division by 0:
+# - the potential squares column sums, up to m * cash_scale, and the
+#   improvement bound divides by cash_scale^2;
+# - the gradient-ball radius and pg_step_bound divide by a = 2 rate_span / d_min;
+# - the improvement bound squares potential gaps, in units of utility_scale
+#   and below 2 P: |Phi| <= P = a (m * cash_scale)^2 on feasible profiles, as
+#   the column sums add up to at most m c_max, so sum_j col_j^2 <= (m c_max)^2.
+SCALES = (
+    ("(m * cash_scale)^2 of 'lenders' and 'borrowers'", lambda g: np.square(g.m * g.cash_scale)),
+    ("a = 2 rate_span / min d of 'rate_min', 'rate_max' and 'borrowers'", LendingGame.gradient_variation_bound),
+    ("utility_scale^2 of 'rate_min', 'rate_max', 'lenders' and 'borrowers'", lambda g: np.square(g.utility_scale)),
+    ("(a (m * cash_scale)^2)^2 of 'rate_min', 'rate_max', 'lenders' and 'borrowers'",
+     lambda g: np.square(g.gradient_variation_bound() * np.square(g.m * g.cash_scale))),
+)
 
 
 def validate_profile(game: LendingGame, profile) -> np.ndarray:

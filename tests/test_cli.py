@@ -194,6 +194,57 @@ def test_integer_beyond_float_range_exits_2(tmp_path, command, overrides):
     assert "malformed scenario" in proc.stderr and "float range" in proc.stderr
 
 
+def _amounts(v):
+    return {"lenders": [v, v], "borrowers": [v, v], "rate_min": 0.02, "rate_max": 0.08}
+
+
+FOUR_AMOUNTS = {"lenders": [1, 10], "borrowers": [6, 3], "rate_min": 0.02}
+
+
+@pytest.mark.parametrize("command", ["solve", "dynamics", "verify"])
+@pytest.mark.parametrize("scenario, code, key", [
+    (_amounts(1e155), 2, "lenders"),
+    (_amounts(1e200), 2, "lenders"),
+    (_amounts(1e308), 2, "lenders"),
+    (_amounts(1e-200), 2, "lenders"),
+    (_amounts(1e-300), 2, "lenders"),
+    (_amounts(5e-324), 2, "lenders"),
+    ({**FOUR_AMOUNTS, "rate_max": 1e308}, 2, "rate_max"),
+    ({**FOUR_AMOUNTS, "rate_max": 1e300}, 2, "rate_max"),
+    ({**FOUR_AMOUNTS, "lenders": [1e100, 2e100], "borrowers": [1e-150, 3e-150], "rate_max": 0.08},
+     2, "borrowers"),
+    (_amounts(1e100), 0, None),
+    (_amounts(1e-100), 0, None),
+], ids=["amounts_1e155", "amounts_1e200", "amounts_1e308", "amounts_1e-200", "amounts_1e-300",
+        "amounts_5e-324", "rate_max_1e308", "rate_max_1e300", "budgets_1e250_times_demands",
+        "amounts_1e100", "amounts_1e-100"])
+def test_magnitudes_the_floats_cannot_carry_exit_2(tmp_path, capsys, command, scenario, code, key):
+    # Past the float range the code overflows or divides by zero; a game
+    # inside it runs to exit 0 on all three commands.
+    path = write_scenario(tmp_path, scenario)
+    argv = [command, path] + (["--output", str(tmp_path / "t.csv")] if command == "dynamics" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "malformed scenario" in captured.err and repr(key) in captured.err
+        assert "float range" in captured.err
+    else:
+        assert "nan" not in captured.out and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("dynamics, field", [
+    ({"variant": 3}, "variant"),
+    ({"alpha": "0.5"}, "alpha"),
+    ({"alhpa": 1}, "alhpa"),
+], ids=["integer_variant", "string_alpha", "unknown_key"])
+def test_dynamics_block_checked_on_every_command_exits_2(tmp_path, capsys, command, dynamics, field):
+    path = write_scenario(tmp_path, {**TWO_LENDER, "dynamics": dynamics})
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "invalid dynamics configuration" in err and field in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--random", "-1"], "--random"),
     (["verify", "--random", "2", "--max-m", "0"], "--max-m"),
