@@ -7,11 +7,12 @@ b_j = 1 - R_j / d_j and w_j = d_j / 2, it is rate_span times
 sum_j x_j b_j - x_j^2 / (2 w_j), so the best response is the projection of
 w b onto the budget set in the metric sum_j x_j^2 / w_j: water-filling, the
 weighted simplex projection of Duchi et al. (ICML 2008).  One row-batched
-kernel serves every best response and, with unit weights, the Euclidean
-projection of the pseudo-gradient dynamics and the oracle: O(mn log n) for
-a whole profile, with no Python loop over lenders or breakpoints.  The
-single-lender functions are row views of it, and the best-response gains
-come from the closed-form row utility in O(mn).
+kernel serves every best response, the oracle's projection in the metric
+sum_j x_j^2 / d_j and, with unit weights, the Euclidean projection of the
+pseudo-gradient dynamics: O(mn log n) for a whole profile, with no Python
+loop over lenders or breakpoints.  The single-lender functions are row views
+of it, and the best-response gains come from the closed-form row utility in
+O(mn).
 """
 
 from __future__ import annotations

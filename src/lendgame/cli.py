@@ -1,4 +1,4 @@
-"""Command-line surface: solve / dynamics / verify / bench.
+"""Command-line surface: solve / dynamics / verify.
 
 A scenario is a JSON object checked by the tables game.SCENARIO and
 game.SCALES, and its `dynamics` block by dynamics.FIELDS on every command;
@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,27 +372,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    timings = []
-    for _ in range(args.repeats):
-        game = gm.LendingGame(
-            budgets=rng.uniform(0.5, 100.0, size=args.m),
-            demands=rng.uniform(0.5, 100.0, size=args.n),
-            rate_min=0.02,
-            rate_max=0.08,
-        )
-        t0 = time.perf_counter()
-        eq.solve_equilibrium(game)
-        timings.append(time.perf_counter() - t0)
-    print(f"m {args.m}")
-    print(f"n {args.n}")
-    print(f"repeats {args.repeats}")
-    print(f"mean_seconds {fmt(float(np.mean(timings)))}")
-    print(f"min_seconds {fmt(float(np.min(timings)))}")
-    return EXIT_OK
-
-
 def _at_least(low: int):
     """argparse type for an integer flag >= low; argparse exits 2 otherwise."""
     def integer(text: str) -> int:
@@ -435,13 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", dest="max_n", type=_at_least(1), default=8)
     p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time the equilibrium solver")
-    p_bench.add_argument("--m", type=_at_least(1), required=True)
-    p_bench.add_argument("--n", type=_at_least(1), required=True)
-    p_bench.add_argument("--repeats", type=_at_least(1), default=5)
-    p_bench.add_argument("--seed", type=_at_least(0), default=0)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,20 +1,25 @@
 """Independent verification machinery.
 
 Nothing here reuses the closed-form equilibrium: the potential maximiser
-(accelerated projected gradient, FISTA with adaptive restart, whose answer
-is certified by one plain projected-gradient step), the finite-difference
-gradient, the exhaustive grid best response and the closed-form
-concavity/Jacobian identities each provide a second route to a quantity the
-production code computes directly.
+(accelerated projected gradient, FISTA with adaptive restart in the metric
+sum_ij x_ij^2 / d_j, where the potential's condition number is m + 1 for any
+demands; its answer is certified by one plain Euclidean projected-gradient
+step), the finite-difference gradient, the exhaustive grid best response and
+the closed-form concavity/Jacobian identities each provide a second route to
+a quantity the production code computes directly.  The maximiser's
+projection is the weighted capped-simplex kernel that the best responses
+use, with weights d in place of d / 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import pg_step_bound, project_capped_simplex
+from .best_response import _capped_projection
+from .dynamics import BLOCK_FLOATS, pg_step_bound, project_capped_simplex
 from .game import LendingGame, potential, potential_gradient, validate_profile
 
 
@@ -57,35 +62,44 @@ def projected_gradient_solve(
     """Maximise the potential by accelerated projected gradient ascent.
 
     FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
-    (O'Donoghue & Candes 2015).  Each step is a projected gradient step at
-    1/L from the momentum point y, where L = span * (m + 1) / min_j d_j is the
-    gradient's Lipschitz constant; the momentum is reset (t = 1, y = x_new)
-    whenever it points against the step, (y - x_new) . (x_new - x) > 0.
-    Once that step moves y by at most tol / L in sup-norm, the new iterate is
-    certified with one plain projected-gradient step at pg_step_bound(game):
-    it is returned when that map's sup-norm is also at most tol, otherwise
-    the iteration goes on.  The potential is strictly concave, so the limit
-    is the unique maximiser.  `iterations` counts accelerated steps; on
-    exhausting max_iters the partial solution is returned with
-    converged=False.
+    (O'Donoghue & Candes 2015), in the metric sum_ij x_ij^2 / d_j.  In
+    column j the Hessian of the potential is -(span / d_j)(I + 11^T); in
+    that metric it is -span (I + 11^T), so the gradient's Lipschitz constant
+    is L_W = span * (m + 1) and the condition number is m + 1, whatever the
+    demands.  Each step goes from the momentum point y to
+    z = y + (d / L_W) grad(y) and projects z onto the budget set in the same
+    metric: the weighted kernel with w = d, as a best response uses it with
+    w = d / 2.  The momentum is reset (t = 1, y = x_new) whenever it points
+    against the step in that metric, (y - x_new) . D^-1 (x_new - x) > 0.
+    Once the scaled step L_W (x_new - y) / d is at most tol in sup-norm, the
+    new iterate is certified with one plain Euclidean projected-gradient step
+    at pg_step_bound(game): it is returned when that map's sup-norm is also
+    at most tol, otherwise the iteration goes on.  The potential is strictly
+    concave, so the limit is the unique maximiser.  `iterations` counts
+    accelerated steps; on exhausting max_iters the partial solution is
+    returned with converged=False.
     """
     step = pg_step_bound(game)
-    lip = 0.5 / step
+    d = game.demands
+    lip = game.rate_span * (game.m + 1)
+    d_over_lip = d / lip
     x = game.zero_profile() if start is None else validate_profile(game, start).copy()
     y = x
     t = 1.0
     it = 0
     for it in range(1, max_iters + 1):
-        nxt = project_capped_simplex(y + potential_gradient(game, y) / lip, game.budgets)
-        if np.abs(nxt - y).max() * lip <= tol:
+        z = y + d_over_lip * potential_gradient(game, y)
+        nxt = _capped_projection(z / d, game.budgets, d)
+        moved = (nxt - y) / d
+        if np.abs(moved).max() * lip <= tol:
             norm = _plain_step_norm(game, nxt, step)
             if norm <= tol:
                 x = nxt
                 break
-        if np.vdot(y - nxt, nxt - x) > 0:
+        if np.vdot(moved, nxt - x) < 0:  # (y - x_new) . D^-1 (x_new - x) > 0
             t, y = 1.0, nxt
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = nxt + ((t - 1.0) / t_next) * (nxt - x)
             t = t_next
         x = nxt
@@ -102,21 +116,28 @@ def projected_gradient_solve(
 
 def finite_difference_gradient(game: LendingGame, profile: np.ndarray, h: float | None = None) -> np.ndarray:
     """Central finite differences of the potential, entry by entry; the
-    step h defaults to 1e-5 of the cash scale."""
+    step h defaults to 1e-5 of the cash scale.
+
+    The 2 m n perturbed profiles, first every s + h e_ij and then every
+    s - h e_ij, go to the stacked potential in chunks of at most about
+    BLOCK_FLOATS floats; its entries have the bits of one call per profile.
+    """
     if h is None:
         h = 1e-5 * game.cash_scale
     if h <= 0:
         raise ValueError("h must be positive")
     s = np.asarray(profile, dtype=float)
-    out = np.empty_like(s)
-    for i in range(game.m):
-        for j in range(game.n):
-            plus = s.copy()
-            minus = s.copy()
-            plus[i, j] += h
-            minus[i, j] -= h
-            out[i, j] = (potential(game, plus) - potential(game, minus)) / (2.0 * h)
-    return out
+    flat = s.reshape(-1)
+    size = flat.size
+    bumped = np.concatenate((flat + h, flat - h))
+    phi = np.empty(2 * size)
+    chunk = max(1, BLOCK_FLOATS // size)
+    for lo in range(0, 2 * size, chunk):
+        k = np.arange(lo, min(lo + chunk, 2 * size))
+        stack = np.tile(flat, (len(k), 1))
+        stack[np.arange(len(k)), k % size] = bumped[k]
+        phi[k] = potential(game, stack.reshape((len(k),) + s.shape))
+    return ((phi[:size] - phi[size:]) / (2.0 * h)).reshape(s.shape)
 
 
 def concavity_gap(game: LendingGame, s, s_prime, lam: float) -> tuple[float, float]:

@@ -251,12 +251,11 @@ def test_dynamics_block_checked_on_every_command_exits_2(tmp_path, capsys, comma
     (["verify", "--random", "2", "--max-n", "0"], "--max-n"),
     (["verify", "--random", "2", "--seed", "-1"], "--seed"),
     (["verify", "SCENARIO", "--seed", "-1"], "--seed"),
-    (["bench", "--m", "5", "--n", "5", "--seed", "-1"], "--seed"),
     (["dynamics", "SCENARIO", "--max-iters", "-5"], "max_iters"),
     (["dynamics", "SCENARIO", "--horizon", "-1"], "horizon"),
     (["dynamics", "SCENARIO", "--variant", "continuous", "--horizon", "0.004"], "horizon"),
 ], ids=["verify_negative_random", "verify_zero_max_m", "verify_zero_max_n",
-        "verify_random_negative_seed", "verify_scenario_negative_seed", "bench_negative_seed",
+        "verify_random_negative_seed", "verify_scenario_negative_seed",
         "dynamics_negative_max_iters", "dynamics_negative_horizon",
         "dynamics_continuous_horizon_below_half_a_step"])
 def test_bad_flag_exits_2(tmp_path, argv, flag):
@@ -352,16 +351,6 @@ def test_verify_perturbed_equilibrium_fails(tmp_path, capsys):
     path = write_scenario(tmp_path, {**TWO_LENDER, "initial_profile": [list(r) for r in star]})
     assert main(["verify", path]) == 5
     assert "nash_check" in capsys.readouterr().err
-
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--m", "50", "--n", "50", "--repeats", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "mean_seconds" in out
-
-
-def test_bench_invalid_sizes(capsys):
-    assert main(["bench", "--m", "0", "--n", "5"]) == 2
 
 
 def test_default_output_dir_env(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,8 @@ from lendgame import (
     solve_equilibrium,
 )
 from lendgame import oracle
-from lendgame.dynamics import pg_step_bound, project_capped_simplex
+from lendgame.best_response import _capped_projection
+from lendgame.dynamics import BLOCK_FLOATS, pg_step_bound, project_capped_simplex
 from lendgame.game import potential_gradient
 from lendgame.oracle import gradient_tol_for_profile_tol, random_game, random_profile
 
@@ -83,15 +84,24 @@ def test_solver_keeps_iterating_when_certificate_fails():
     assert move <= tol * step
 
 
+def _preconditioned_step(g, y):
+    """The oracle's step from y: z = y + (d / L_W) grad(y), projected in the
+    metric sum_ij x_ij^2 / d_j, with L_W = span (m + 1)."""
+    d, lip = g.demands, g.rate_span * (g.m + 1)
+    z = y + (d / lip) * potential_gradient(g, y)
+    return _capped_projection(z / d, g.budgets, d)
+
+
 def test_solver_restarts_momentum(monkeypatch):
     # The gradient is evaluated at the momentum point y.  Without a restart,
     # y_{k+1} = x_k + beta_k (x_k - x_{k-1}) with beta_k > 0 from the second
     # step on; a restart makes the next step (and the one after) plain, so a
-    # later gradient point is exactly the 1/L projected step from the one
-    # before.  Large moves rule out the certificate's evaluations.
+    # later gradient point is exactly the preconditioned step from the one
+    # before.  Moves above tol in the scaled norm L_W |D / d|_max rule out
+    # the certificate's evaluations.
     g = _ill_conditioned_game()
     tol = gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale)
-    lip = 0.5 / pg_step_bound(g)
+    lip = g.rate_span * (g.m + 1)
     points = []
 
     def recording_gradient(game, s):
@@ -102,20 +112,33 @@ def test_solver_restarts_momentum(monkeypatch):
     assert projected_gradient_solve(g, tol=tol).converged
     plain_steps = [
         j for j in range(1, len(points) - 1)
-        if np.abs(points[j + 1] - points[j]).max() * lip > tol
-        and np.array_equal(points[j + 1], project_capped_simplex(
-            points[j] + potential_gradient(g, points[j]) / lip, g.budgets))
+        if np.abs((points[j + 1] - points[j]) / g.demands).max() * lip > tol
+        and points[j + 1].tobytes() == _preconditioned_step(g, points[j]).tobytes()
     ]
     assert plain_steps
 
 
 def test_solver_iteration_count_regression():
     # The fixed-step loop at 1 / (2L) needed 5,509 iterations on this game at
-    # this tolerance; the accelerated loop needs 315.
+    # this tolerance, the Euclidean accelerated loop 315; the accelerated
+    # loop in the 1/d metric needs 18.
     g = _ill_conditioned_game()
     sol = projected_gradient_solve(g, tol=gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale))
     assert sol.converged
-    assert sol.iterations <= 5509 // 4
+    assert sol.iterations <= 315 // 8
+
+
+def test_solver_iterations_flat_in_demand_ratio():
+    # In the 1/d metric the condition number is m + 1 whatever the demands.
+    # The Euclidean loop took 7, 272 and 1,027 iterations at ratios 1, 20
+    # and 400; the preconditioned loop takes 7, 15 and 11.
+    counts = []
+    for r in (1.0, 20.0, 400.0):
+        g = LendingGame(np.linspace(2.0, 30.0, 8), np.geomspace(20.0 / r, 20.0, 8), 0.02, 0.08)
+        sol = projected_gradient_solve(g, tol=gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale))
+        assert sol.converged
+        counts.append(sol.iterations)
+    assert max(counts) <= 3 * counts[0]
 
 
 def test_fd_gradient_zero_profile(two_lender_game):
@@ -132,6 +155,49 @@ def test_fd_gradient_h_independence():
     f1 = finite_difference_gradient(g, s, 1e-4)
     f2 = finite_difference_gradient(g, s, 1e-6)
     assert np.abs(f1 - f2).max() <= 1e-6
+
+
+def _loop_fd_gradient(game, profile, h):
+    """Reference: one potential call per perturbed profile."""
+    s = np.asarray(profile, dtype=float)
+    out = np.empty_like(s)
+    for i in range(game.m):
+        for j in range(game.n):
+            plus = s.copy()
+            minus = s.copy()
+            plus[i, j] += h
+            minus[i, j] -= h
+            out[i, j] = (potential(game, plus) - potential(game, minus)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e6, 1e12])
+def test_fd_gradient_matches_loop_bytes(scale):
+    rng = seeded_rng(47)
+    for _ in range(20):
+        g = random_game(rng, 8, 8)
+        g = LendingGame(g.budgets * scale, g.demands * scale, g.rate_min, g.rate_max)
+        s = random_profile(rng, g)
+        h = 1e-5 * g.cash_scale
+        assert finite_difference_gradient(g, s).tobytes() == _loop_fd_gradient(g, s, h).tobytes()
+
+
+def test_fd_gradient_matches_loop_bytes_1x1(monopoly_game):
+    s = np.array([[2.5]])
+    expected = _loop_fd_gradient(monopoly_game, s, 1e-3)
+    assert finite_difference_gradient(monopoly_game, s, 1e-3).tobytes() == expected.tobytes()
+
+
+def test_fd_gradient_matches_loop_bytes_across_chunks():
+    # 20 x 15 = 300 entries: 600 perturbed profiles, evaluated in chunks of
+    # BLOCK_FLOATS // 300 = 218, so chunk boundaries fall inside both the
+    # plus and the minus halves.
+    rng = seeded_rng(48)
+    g = LendingGame(rng.uniform(0.5, 100.0, 20), rng.uniform(0.5, 100.0, 15), 0.02, 0.08)
+    assert BLOCK_FLOATS // (g.m * g.n) < g.m * g.n
+    s = random_profile(rng, g)
+    h = 1e-5 * g.cash_scale
+    assert finite_difference_gradient(g, s).tobytes() == _loop_fd_gradient(g, s, h).tobytes()
 
 
 def test_concavity_gap_zero_for_equal_profiles(two_lender_game):
