@@ -5,12 +5,10 @@ from types import ModuleType as _ModuleType
 
 from .game import (
     LendingGame,
-    interest_rate,
     interest_rates,
     potential,
     potential_gradient,
     potential_telescoped,
-    prefix_interest_rate,
     utilities,
     utility,
     validate_profile,
@@ -27,10 +25,8 @@ from .equilibrium import (
 )
 from .best_response import (
     best_response,
-    best_response_gain,
     best_response_gains,
     best_response_profile,
-    residual_supply,
 )
 from .dynamics import (
     VARIANTS,

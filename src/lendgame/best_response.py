@@ -75,12 +75,6 @@ def _best_responses(game: LendingGame, s: np.ndarray, col: np.ndarray, rows=slic
     return x, residual
 
 
-def residual_supply(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
-    """Per-borrower supply from everyone except lender i."""
-    s = np.asarray(profile, dtype=float)
-    return s.sum(axis=0) - s[i]
-
-
 def _check_lender(game: LendingGame, i: int) -> None:
     if not 0 <= i < game.m:
         raise IndexError(f"lender index {i} out of range for m={game.m}")
@@ -116,9 +110,3 @@ def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     response; non-negative by optimality."""
     s = np.asarray(profile, dtype=float)
     return _gains_and_profile(game, s, s.sum(axis=0))[0]
-
-
-def best_response_gain(game: LendingGame, profile: np.ndarray, i: int) -> float:
-    """Best-response gain of lender i: one row of :func:`best_response_gains`."""
-    _check_lender(game, i)
-    return float(best_response_gains(game, profile)[i])

@@ -6,7 +6,9 @@ CLI flags override the block.  Trajectories are CSV with the columns
 `step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
 thinned profile snapshots.  Every float that `solve` and `dynamics` write
 is formatted with `%.17g` (17 significant digits, enough to read back the
-same double), so outputs are byte-stable and diff meaningfully.
+same double), so outputs are byte-stable and diff meaningfully.  `verify`
+runs the suite of lendgame.verify on one scenario or on K random games and
+prints its PASS/FAIL table; here it only loads or draws the instances.
 
 Exit codes: 0 success, 2 malformed scenario or flags, 3 I/O failure,
 4 iteration cap reached, 5 verification failure.
@@ -23,11 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .best_response import best_response_gains
 from . import equilibrium as eq
 from . import game as gm
 from . import oracle as orc
 from .dynamics import FIELDS, VARIANTS, ConfigError, DynamicsConfig, STATUS_CONVERGED, run
+from .verify import verify
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -65,22 +67,6 @@ class Scenario:
     game: gm.LendingGame
     initial_profile: np.ndarray | None
     dynamics: dict
-    description: str
-
-    def to_dict(self) -> dict:
-        out = {
-            "lenders": list(self.game.budgets),
-            "borrowers": list(self.game.demands),
-            "rate_min": self.game.rate_min,
-            "rate_max": self.game.rate_max,
-        }
-        if self.initial_profile is not None:
-            out["initial_profile"] = [list(row) for row in self.initial_profile]
-        if self.dynamics:
-            out["dynamics"] = dict(self.dynamics)
-        if self.description:
-            out["description"] = self.description
-        return out
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -96,8 +82,7 @@ def parse_scenario(data: dict) -> Scenario:
         gm.check(FIELDS, vars(DynamicsConfig(**dynamics)))
     except (TypeError, ValueError) as exc:   # TypeError: a key that is no field
         raise ValueError(f"invalid dynamics configuration: {exc}") from None
-    return Scenario(game=game, initial_profile=profile, dynamics=dynamics,
-                    description=str(data.get("description", "")))
+    return Scenario(game=game, initial_profile=profile, dynamics=dynamics)
 
 
 def _json_int(text: str) -> int:
@@ -223,151 +208,22 @@ def cmd_dynamics(args) -> int:
     return EXIT_OK if traj.status == STATUS_CONVERGED else EXIT_ITERATION_CAP
 
 
-def _gradient_ball_radius(game: gm.LendingGame, v: np.ndarray, vdot: float) -> float:
-    """l1 radius around s within which v . grad Phi stays >= vdot / 2, where
-    vdot = v . grad Phi(s) > 0."""
-    # grad Phi_ij moves by -span (D_ij + sum_k D_kj) / d_j under a step D, so
-    # |v . H D| <= |v|_max span / d_min sum_ij (|D_ij| + sum_k |D_kj|)
-    #          = |v|_max span (m + 1) / d_min |D|_1 = (m + 1) a |v|_max |D|_1 / 2
-    # with a = 2 span / d_min, so v . grad Phi stays >= vdot / 2 while
-    # |D|_1 <= vdot / ((m + 1) a |v|_max).  The bound is tight: n = 1,
-    # v = 1 and every D_i = |D|_1 / m reach it.
-    a = game.gradient_variation_bound()
-    return vdot / ((game.m + 1) * a * float(np.abs(v).max()))
-
-
-def _check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[tuple[str, bool, str]]:
-    """All invariant suites on one instance; (name, passed, detail) rows."""
-    cash, rate, util = game.cash_scale, game.rate_span, game.utility_scale
-    results = []
-    s = orc.random_profile(rng, game)
-    s2 = orc.random_profile(rng, game)
-
-    # Potential identity under a unilateral deviation.
-    k = int(rng.integers(game.m))
-    dev = s.copy()
-    dev[k] = orc.random_profile(rng, game)[k]
-    d_phi = gm.potential(game, dev) - gm.potential(game, s)
-    d_u = gm.utility(game, dev, k) - gm.utility(game, s, k)
-    results.append(("potential_identity", abs(d_phi - d_u) <= 1e-10 * util, f"residual {abs(d_phi - d_u):.3g}"))
-
-    forms = abs(gm.potential(game, s) - gm.potential_telescoped(game, s))
-    results.append(("potential_forms", forms <= 1e-10 * util, f"residual {forms:.3g}"))
-
-    lam = float(rng.uniform(0.05, 0.95))
-    measured, closed = orc.concavity_gap(game, s, s2, lam)
-    ok = abs(measured - closed) <= 1e-12 * util and (closed > 0 or np.array_equal(s, s2))
-    results.append(("concavity_gap", ok, f"residual {abs(measured - closed):.3g}"))
-
-    fd = orc.finite_difference_gradient(game, s)
-    g_res = float(np.abs(fd - gm.potential_gradient(game, s)).max())
-    results.append(("gradient_fd", g_res <= 1e-6 * rate, f"residual {g_res:.3g}"))
-
-    a = game.gradient_variation_bound()
-    lhs = float(np.abs(gm.potential_gradient(game, s) - gm.potential_gradient(game, s2)).max())
-    rhs = a * float(np.abs(s - s2).sum())
-    results.append(("gradient_variation", lhs <= rhs + 1e-12 * rate, f"excess {lhs - rhs:.3g}"))
-
-    v = rng.standard_normal(game.m * game.n)
-    qf = orc.jacobian_quadratic_form(game, v)
-    hf = orc.hessian_quadratic_form(game, v)
-    ok = qf < 0 and abs(qf - hf) <= 1e-12 * abs(qf)
-    results.append(("jacobian_negative_definite", ok, f"value {qf:.3g}"))
-
-    # Gradient ball bound (directional-derivative persistence).
-    v = rng.standard_normal((game.m, game.n))
-    vdot = float((v * gm.potential_gradient(game, s)).sum())
-    if vdot > 0:
-        radius = _gradient_ball_radius(game, v, vdot)
-        direction = rng.standard_normal((game.m, game.n))
-        direction /= np.abs(direction).sum()
-        s_near = s + float(rng.uniform(0.0, radius)) * direction
-        vdot_near = float((v * gm.potential_gradient(game, s_near)).sum())
-        results.append(("gradient_ball", vdot_near >= 0.5 * vdot - 1e-12 * rate, f"lhs {vdot_near:.3g}"))
-    else:
-        results.append(("gradient_ball", True, "inactive (non-positive derivative)"))
-
-    # Improvement bound: some lender's best-response gain reaches
-    # gap^2 / (4 m^4 n^2 a D^2), with the diameter D = max(c_max, d_max),
-    # which is the cash scale.  Derivation:
-    # - concavity gives gap <= m * g, g = max_i grad_i Phi . (s*_i - s_i),
-    #   and grad_i Phi is lender i's own utility gradient;
-    # - the own-row curvature of u_i is at most a, so moving t in [0, 1] of
-    #   the way to s*_i gains at least t g - a t^2 |s*_i - s_i|^2 / 2, with
-    #   |s*_i - s_i|^2 <= 2 c_max^2: an interior t gains at least
-    #   g^2 / (4 a c_max^2) >= gap^2 / (4 m^2 a c_max^2);
-    # - the step-capped branch t = 1 gains at least g / 2, which reaches
-    #   the bound while g <= 2 m^2 n^2 a D^2.  As g <= 2 c_max span
-    #   max(1, (m + 1) c_max / d_min), that is covered only when D >= d_min
-    #   too: with c_max for D, 1 x 1 games with c < d / 9 fail.
-    result = eq.solve_equilibrium(game)
-    phi_star = gm.potential(game, result.profile)
-    gap = phi_star - gm.potential(game, s)
-    bound = gap * gap / (4.0 * game.m**4 * game.n**2 * a * cash**2)
-    max_gain = float(best_response_gains(game, s).max())
-    results.append(("improvement_bound", max_gain >= bound - 1e-12 * util, f"gain {max_gain:.3g} bound {bound:.3g}"))
-
-    sol = orc.projected_gradient_solve(game, tol=orc.gradient_tol_for_profile_tol(game, 1e-8 * cash))
-    dist = float(np.abs(sol.profile - result.profile).max())
-    results.append(("oracle_equivalence", dist <= 1e-6 * cash, f"l_inf {dist:.3g}"))
-
-    report = eq.certify(game, result, tolerance=1e-10)
-    results.append(("kkt_residuals", report.passed, f"max residual {max(report.primal_residual, report.stationarity_residual, report.dual_residual, report.slackness_residual):.3g}"))
-
-    results.extend(_check_candidate(game, result.profile))
-
-    oversupply = float((result.profile.sum(axis=0) - game.demands).max())
-    results.append(("no_oversupply", oversupply <= 1e-9 * cash, f"excess {oversupply:.3g}"))
-
-    perm = rng.permutation(game.m)
-    permuted = gm.LendingGame(game.budgets[perm], game.demands, game.rate_min, game.rate_max)
-    p_res = eq.solve_equilibrium(permuted)
-    p_dist = float(np.abs(p_res.profile - result.profile[perm]).max())
-    results.append(("permutation_equivariance", p_dist <= 1e-12 * cash, f"l_inf {p_dist:.3g}"))
-    return results
-
-
-def _check_candidate(game: gm.LendingGame, candidate: np.ndarray) -> list[tuple[str, bool, str]]:
-    """Equilibrium-candidate checks used in scenario verify mode."""
-    spread = eq.rate_spread(game, candidate)
-    nash_gain = float(best_response_gains(game, candidate).max())
-    return [("uniform_rates", spread <= 1e-12 * game.rate_span, f"spread {spread:.3g}"),
-            ("nash_check", nash_gain <= 1e-9 * game.utility_scale, f"gain {nash_gain:.3g}")]
-
-
 def cmd_verify(args) -> int:
-    rows: list[tuple[str, bool, str]] = []
     if args.scenario is not None:
         scenario = load_scenario_or_exit(args.scenario)
-        game = scenario.game
         rng = np.random.Generator(np.random.Philox(args.seed))
-        rows.extend(_check_instance(game, rng))
-        if scenario.initial_profile is not None:
-            rows.extend(_check_candidate(game, scenario.initial_profile))
+        instances = [(scenario.game, rng, scenario.initial_profile)]
     else:
         # Per-instance seeds come from spawning the master seed sequence, so
         # instance k is reproducible regardless of worker layout.
-        children = np.random.SeedSequence(args.seed).spawn(args.random)
-        for k in range(args.random):
-            rng = np.random.Generator(np.random.Philox(children[k]))
-            game = orc.random_game(rng, args.max_m, args.max_n)
-            for name, ok, detail in _check_instance(game, rng):
-                rows.append((f"{name}[{k}]", ok, detail))
-
-    failed = [name for name, ok, _ in rows if not ok]
-    # Aggregate per check for the pass/fail table.
-    agg: dict[str, tuple[int, int]] = {}
-    for name, ok, _ in rows:
-        base = name.split("[")[0]
-        total, good = agg.get(base, (0, 0))
-        agg[base] = (total + 1, good + int(ok))
-    for base, (total, good) in agg.items():
-        status = "PASS" if good == total else "FAIL"
-        print(f"{status}  {base}  {good}/{total}")
-    if failed:
-        first = failed[0]
-        detail = next(d for n, ok, d in rows if n == first)
-        print(f"error: property {first} failed ({detail})", file=sys.stderr)
+        rngs = (np.random.Generator(np.random.Philox(child))
+                for child in np.random.SeedSequence(args.seed).spawn(args.random))
+        instances = ((orc.random_game(rng, args.max_m, args.max_n), rng, None) for rng in rngs)
+    table, failure = verify(instances, indexed=args.scenario is None)
+    for line in table:
+        print(line)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 

@@ -17,7 +17,8 @@ potential and the Lyapunov gap (potential at equilibrium minus current
 potential) at every step, with thinned profile snapshots.  A run stops at
 the first step whose gap is at most stop_gap, or after max_iters steps;
 the continuous variant is also capped at round(horizon / ode_step) steps,
-which its config must make at least 1.
+which its config must make at least 1, and its ode_step must lie within
+RK4's stability bound.
 
 `run` takes steps in blocks and evaluates the block's potentials and gaps
 in one call.  The steps a block computes after the stop step are dropped,
@@ -105,6 +106,16 @@ class DynamicsConfig:
         if cfg.variant == "continuous" and cfg.horizon / cfg.ode_step <= 0.5:
             raise ConfigError(f"horizon {cfg.horizon!r} gives no step of ode_step "
                               f"{cfg.ode_step!r}: round(horizon / ode_step) is 0")
+        # The Jacobian of the field BR(s) - s is -I + Pi A, with
+        # A = -(J - I) / 2 (x) I_n (J the m x m all-ones matrix) and Pi the
+        # derivative of the best-response projection, which is self-adjoint
+        # in the metric 1 / w, as A is.  So its spectrum is real and lies in
+        # [-(m + 1) / 2, -1 / 2].  On the negative real axis RK4 is stable up
+        # to |z| = 2.785293563..., the real root of z^3 + 4 z^2 + 12 z + 24,
+        # so ode_step may reach twice that over m + 1.
+        ode_bound = 5.570587126810578 / (game.m + 1)
+        if cfg.variant == "continuous" and cfg.ode_step > ode_bound:
+            raise ConfigError(f"ode_step {cfg.ode_step:.6g} outside the stability bound (0, {ode_bound:.6g}]")
         weights = np.full(game.m, 1.0 / game.m) if cfg.lender_weights is None else cfg.lender_weights
         pg_weights = np.ones(game.m) if cfg.pg_weights is None else cfg.pg_weights
         for name, w in (("lender_weights", weights), ("pg_weights", pg_weights)):

@@ -208,23 +208,6 @@ def interest_rates(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     return (game.rate_min - game.rate_max) * supply / game.demands + game.rate_max
 
 
-def interest_rate(game: LendingGame, profile: np.ndarray, j: int) -> float:
-    if not 0 <= j < game.n:
-        raise IndexError(f"borrower index {j} out of range for n={game.n}")
-    return float(interest_rates(game, profile)[j])
-
-
-def prefix_interest_rate(game: LendingGame, profile: np.ndarray, j: int, z: int) -> float:
-    """Interest rate of borrower j counting only supply from the first z lenders."""
-    if not 0 <= j < game.n:
-        raise IndexError(f"borrower index {j} out of range for n={game.n}")
-    if not 0 <= z <= game.m:
-        raise IndexError(f"prefix length {z} out of range for m={game.m}")
-    s = np.asarray(profile, dtype=float)
-    prefix_supply = s[:z, j].sum()
-    return float((game.rate_min - game.rate_max) * prefix_supply / game.demands[j] + game.rate_max)
-
-
 def utilities(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Per-lender utilities: interest earned above the deposit-facility rate.
 

@@ -75,11 +75,16 @@ def projected_gradient_solve(
     new iterate is certified with one plain Euclidean projected-gradient step
     at pg_step_bound(game): it is returned when that map's sup-norm is also
     at most tol, otherwise the iteration goes on.  The potential is strictly
-    concave, so the limit is the unique maximiser.  `iterations` counts
+    concave, so the limit is the unique maximiser.  tol is raised to that
+    map's rounding level, eps * cash_scale / pg_step_bound(game), for the
+    stop, the certificate and `converged`.  `iterations` counts
     accelerated steps; on exhausting max_iters the partial solution is
     returned with converged=False.
     """
     step = pg_step_bound(game)
+    # The plain-step map reads up to about eps * cash_scale / step at the
+    # maximiser itself, from rounding, so no smaller tol can be certified.
+    tol = max(tol, np.finfo(float).eps * game.cash_scale / step)
     d = game.demands
     lip = game.rate_span * (game.m + 1)
     d_over_lip = d / lip
@@ -194,22 +199,16 @@ def hessian_quadratic_form(game: LendingGame, v: np.ndarray) -> float:
     return total
 
 
-def random_game(
-    rng: np.random.Generator,
-    max_m: int = 12,
-    max_n: int = 12,
-    budget_range: tuple[float, float] = (0.5, 100.0),
-    demand_range: tuple[float, float] = (0.5, 100.0),
-) -> LendingGame:
+def random_game(rng: np.random.Generator, max_m: int = 12, max_n: int = 12) -> LendingGame:
     """Random instance for property runs: sizes up to (max_m, max_n),
-    budgets/demands in the given ranges, corridor inside (0, 0.2)."""
+    budgets and demands in [0.5, 100), corridor inside (0, 0.2)."""
     m = int(rng.integers(1, max_m + 1))
     n = int(rng.integers(1, max_n + 1))
     rate_min = float(rng.uniform(0.005, 0.1))
     rate_max = float(rng.uniform(rate_min + 0.01, 0.2))
     return LendingGame(
-        budgets=rng.uniform(*budget_range, size=m),
-        demands=rng.uniform(*demand_range, size=n),
+        budgets=rng.uniform(0.5, 100.0, size=m),
+        demands=rng.uniform(0.5, 100.0, size=n),
         rate_min=rate_min,
         rate_max=rate_max,
     )

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lendgame import (
     LendingGame,
     best_response,
-    best_response_gain,
     best_response_gains,
     best_response_profile,
-    residual_supply,
     solve_equilibrium,
     utilities,
     utility,
@@ -19,13 +17,6 @@ from lendgame.best_response import _capped_projection
 from lendgame.oracle import grid_best_response, random_game, random_profile
 
 from conftest import seeded_rng
-
-
-def test_residual_supply():
-    g = LendingGame([5.0, 5.0], [4.0, 4.0], 0.02, 0.08)
-    s = np.array([[1.0, 2.0], [3.0, 0.5]])
-    assert np.allclose(residual_supply(g, s, 0), [3.0, 0.5])
-    assert np.allclose(residual_supply(g, s, 1), [1.0, 2.0])
 
 
 def test_interior_optimum():
@@ -54,8 +45,8 @@ def test_budget_clipped_single_borrower(two_lender_game):
 
 def test_gain_hand_values(two_lender_game):
     zero = np.zeros((2, 1))
-    assert best_response_gain(two_lender_game, zero, 0) == pytest.approx(0.05, abs=1e-12)
-    assert best_response_gain(two_lender_game, zero, 1) == pytest.approx(0.09, abs=1e-12)
+    assert best_response_gains(two_lender_game, zero)[0] == pytest.approx(0.05, abs=1e-12)
+    assert best_response_gains(two_lender_game, zero)[1] == pytest.approx(0.09, abs=1e-12)
 
 
 def test_gain_zero_at_equilibrium():
@@ -64,7 +55,7 @@ def test_gain_zero_at_equilibrium():
         g = random_game(rng, 6, 6)
         star = solve_equilibrium(g).profile
         for i in range(g.m):
-            assert abs(best_response_gain(g, star, i)) <= 1e-10
+            assert abs(best_response_gains(g, star)[i]) <= 1e-10
 
 
 def test_fixed_point_at_equilibrium():
@@ -85,7 +76,7 @@ def test_optimality_certificate():
         s = random_profile(rng, g)
         i = int(rng.integers(g.m))
         x = best_response(g, s, i)
-        t = residual_supply(g, s, i)
+        t = s.sum(axis=0) - s[i]
         marginals = g.rate_span * (1.0 - (2.0 * x + t) / g.demands)
         active = x > 1e-12
         slack = x.sum() < g.budgets[i] - 1e-9
@@ -176,7 +167,7 @@ def test_kernel_matches_loop_reference():
     for k in range(300):
         g = random_game(rng, 12, 12)
         s = g.zero_profile() if k % 3 == 0 else random_profile(rng, g)
-        ref = np.stack([loop_water_fill(g.demands, residual_supply(g, s, i), g.budgets[i])
+        ref = np.stack([loop_water_fill(g.demands, s.sum(axis=0) - s[i], g.budgets[i])
                         for i in range(g.m)])
         size = max(g.budgets.max(), g.demands.max())
         assert np.abs(best_response_profile(g, s) - ref).max() <= 1e-12 * size
@@ -235,7 +226,7 @@ def test_batched_kernel_properties(instance):
         # (b) feasibility and the optimality certificate of
         # test_optimality_certificate, with tolerances relative to the scale.
         assert x.min() >= 0.0 and x.sum() <= g.budgets[i] * (1.0 + 1e-12)
-        t = residual_supply(g, s, i)
+        t = s.sum(axis=0) - s[i]
         marginals = g.rate_span * (1.0 - (2.0 * x + t) / g.demands)
         active = x > 1e-12 * size
         slack = x.sum() < g.budgets[i] - 1e-9 * size

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from lendgame.cli import Scenario, _gradient_ball_radius, load_scenario, main, parse_scenario
+from lendgame.cli import load_scenario, main, parse_scenario
+from lendgame.verify import gradient_ball_radius
 from lendgame import DynamicsConfig, LendingGame, potential_gradient
 
 
@@ -30,16 +31,6 @@ def run_cli(*args):
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "lendgame.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_scenario_round_trip():
-    scenario = parse_scenario({**TWO_LENDER, "initial_profile": [[0.5], [1.0]],
-                               "dynamics": {"alpha": 0.5}, "description": "demo"})
-    again = parse_scenario(scenario.to_dict())
-    assert np.array_equal(again.game.budgets, scenario.game.budgets)
-    assert np.array_equal(again.initial_profile, scenario.initial_profile)
-    assert again.dynamics == {"alpha": 0.5}
-    assert again.description == "demo"
 
 
 def test_solve_report(tmp_path, capsys):
@@ -112,6 +103,17 @@ def test_dynamics_pg_step_above_bound(tmp_path, capsys):
                  "--output", str(tmp_path / "t.csv")])
     assert code == 2
     assert "stability bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ode_step", ["1e200", "10"])
+def test_dynamics_ode_step_above_rk4_bound_exits_2(tmp_path, capsys, ode_step):
+    # 1e200 overflowed RK4's stages to a NaN gap (exit 4); 10 left the gap
+    # where it started.  The bound for m = 2 is 5.5706 / 3.
+    path = write_scenario(tmp_path, {**TWO_LENDER, "borrowers": [6.0, 3.0]})
+    code = main(["dynamics", path, "--variant", "continuous", "--ode-step", ode_step,
+                 "--horizon", "1e308", "--max-iters", "5", "--output", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "ode_step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dynamics, field", [
@@ -338,7 +340,7 @@ def test_gradient_ball_radius_exact_counterexample():
 
     old_radius = vdot / (2.0 * a)
     assert vdot_at(0.9 * old_radius) < 0.5 * vdot          # inside the old ball, the claim is false
-    radius = _gradient_ball_radius(game, v, vdot)
+    radius = gradient_ball_radius(game, v, vdot, a)
     assert radius == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert vdot_at(radius) >= 0.5 * vdot - 1e-12 * game.rate_span  # tight, and it holds
 

@@ -310,6 +310,15 @@ def test_continuous_horizon_rounds_to_at_least_one_step():
     assert run(g, g.zero_profile(), huge).iterations == 3
 
 
+def test_continuous_converges_just_inside_rk4_bound():
+    g = LendingGame([1.0, 10.0], [6.0, 3.0], 0.02, 0.08)
+    bound = 5.570587126810578 / (g.m + 1)
+    cfg = DynamicsConfig(variant="continuous", ode_step=0.98 * bound)
+    assert run(g, g.zero_profile(), cfg).status == "converged"
+    with pytest.raises(ConfigError, match="ode_step"):
+        run(g, g.zero_profile(), replace(cfg, ode_step=1.01 * bound))
+
+
 def test_gradient_ball_bound():
     # Directional derivative persists at half its value within the stated
     # l1-ball radius.

@@ -3,12 +3,10 @@ import pytest
 
 from lendgame import (
     LendingGame,
-    interest_rate,
     interest_rates,
     potential,
     potential_gradient,
     potential_telescoped,
-    prefix_interest_rate,
     solve_equilibrium,
     utility,
     validate_profile,
@@ -61,35 +59,20 @@ def test_profile_validation_rejects_non_finite():
 
 def test_interest_rate_endpoints(two_lender_game):
     g = two_lender_game
-    assert interest_rate(g, np.zeros((2, 1)), 0) == pytest.approx(0.08)
+    assert interest_rates(g, np.zeros((2, 1)))[0] == pytest.approx(0.08)
     full = np.array([[2.0], [4.0]])  # supply equals demand
-    assert interest_rate(g, full, 0) == pytest.approx(0.02)
+    assert interest_rates(g, full)[0] == pytest.approx(0.02)
 
 
 def test_interest_rate_midpoint(two_lender_game):
     s = np.array([[1.0], [2.5]])
-    assert interest_rate(two_lender_game, s, 0) == pytest.approx(0.045, abs=1e-15)
+    assert interest_rates(two_lender_game, s)[0] == pytest.approx(0.045, abs=1e-15)
 
 
 def test_interest_rate_oversupply_below_corridor():
     g = LendingGame([20.0], [6.0], 0.02, 0.08)
     s = np.array([[12.0]])
-    assert interest_rate(g, s, 0) == pytest.approx(-0.04, abs=1e-15)
-
-
-def test_interest_rate_bad_index(two_lender_game):
-    with pytest.raises(IndexError):
-        interest_rate(two_lender_game, np.zeros((2, 1)), 1)
-
-
-def test_prefix_interest_rate(two_lender_game):
-    g = two_lender_game
-    s = np.array([[1.0], [2.5]])
-    assert prefix_interest_rate(g, s, 0, 0) == pytest.approx(0.08)
-    assert prefix_interest_rate(g, s, 0, 1) == pytest.approx(0.07, abs=1e-15)
-    assert prefix_interest_rate(g, s, 0, 2) == pytest.approx(interest_rate(g, s, 0))
-    with pytest.raises(IndexError):
-        prefix_interest_rate(g, s, 0, 3)
+    assert interest_rates(g, s)[0] == pytest.approx(-0.04, abs=1e-15)
 
 
 def test_utility_examples():

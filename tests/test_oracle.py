@@ -141,6 +141,15 @@ def test_solver_iterations_flat_in_demand_ratio():
     assert max(counts) <= 3 * counts[0]
 
 
+def test_solver_tolerance_floored_at_rounding_level():
+    # verify asks for 6e-11 here, below the 7.5e-10 that the plain-step map
+    # reads at the closed form itself: the loop ran for 51 s.
+    g = LendingGame([18.59, 83.93, 24.78, 82.63, 1.116, 6.259], [1e-6, 100.0], 0.02, 0.08)
+    sol = projected_gradient_solve(g, tol=gradient_tol_for_profile_tol(g, 1e-8 * g.cash_scale))
+    assert sol.converged and sol.iterations < 1000
+    assert np.abs(sol.profile - solve_equilibrium(g).profile).max() <= 1e-6 * g.cash_scale
+
+
 def test_fd_gradient_zero_profile(two_lender_game):
     fd = finite_difference_gradient(two_lender_game, np.zeros((2, 1)))
     assert np.allclose(fd, 0.06, atol=1e-9)

@@ -15,8 +15,9 @@ from lendgame import (
     solve_equilibrium,
     validate_profile,
 )
-from lendgame.cli import _check_instance, main, parse_scenario
+from lendgame.cli import main, parse_scenario
 from lendgame.oracle import random_profile
+from lendgame.verify import check_instance
 
 from conftest import seeded_rng
 
@@ -49,7 +50,7 @@ def test_checks_pass_at_every_scale(instance):
                                       "rate_min": rate_min, "rate_max": rate_max,
                                       "initial_profile": result.profile.tolist()}))
         assert np.array_equal(parse_scenario(data).initial_profile, result.profile)
-        failed = [(name, detail) for name, ok, detail in _check_instance(game, seeded_rng(seed))
+        failed = [(name, detail) for name, ok, detail in check_instance(game, seeded_rng(seed))
                   if not ok]
         assert not failed, (k, failed)
 
@@ -67,7 +68,7 @@ def test_improvement_bound_exact_single_pair():
     # c < d / 9.  With one lender and one borrower the best response is the
     # equilibrium, so the gain equals the gap exactly.
     game = LendingGame([1.0], [100.0], 0.02, 0.08)
-    s = random_profile(seeded_rng(0), game)  # the first profile _check_instance draws
+    s = random_profile(seeded_rng(0), game)  # the first profile check_instance draws
     gain = float(best_response_gains(game, s)[0])
     gap = potential(game, solve_equilibrium(game).profile) - potential(game, s)
     a = game.gradient_variation_bound()
@@ -76,7 +77,7 @@ def test_improvement_bound_exact_single_pair():
     new_bound = gap * gap / (4.0 * a * game.cash_scale ** 2)
     assert gain < old_bound          # the bound with c_max is false here
     assert gain >= new_bound         # the bound with the diameter holds
-    rows = {name: ok for name, ok, _ in _check_instance(game, seeded_rng(0))}
+    rows = {name: ok for name, ok, _ in check_instance(game, seeded_rng(0))}
     assert rows["improvement_bound"]
 
 
