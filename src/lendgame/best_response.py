@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import LendingGame
+from .game import LendingGame, check_lender
 
 
 def _capped_projection(b: np.ndarray, cap, w: np.ndarray | None = None) -> np.ndarray:
@@ -66,41 +66,33 @@ def _capped_projection(b: np.ndarray, cap, w: np.ndarray | None = None) -> np.nd
     return x
 
 
-def _best_responses(game: LendingGame, s: np.ndarray, col: np.ndarray, rows=slice(None)):
-    """Best responses of the lenders `rows` (all, or one index) to profile s
-    with column sums col = s.sum(axis=0), and the residual supplies, from
-    everyone else, that they answer."""
-    residual = col - s[rows]
+def _best_responses(game: LendingGame, s: np.ndarray, rows=slice(None)):
+    """Best responses of the lenders `rows` (all, or one index) to profile s,
+    and the residual supplies, from everyone else, that they answer."""
+    residual = s.sum(axis=0) - s[rows]
     x = _capped_projection(1.0 - residual / game.demands, game.budgets[rows], 0.5 * game.demands)
     return x, residual
 
 
-def _check_lender(game: LendingGame, i: int) -> None:
-    if not 0 <= i < game.m:
-        raise IndexError(f"lender index {i} out of range for m={game.m}")
-
-
 def best_response(game: LendingGame, profile: np.ndarray, i: int) -> np.ndarray:
     """Unique utility-maximising strategy of lender i against the others."""
-    _check_lender(game, i)
-    s = np.asarray(profile, dtype=float)
-    return _best_responses(game, s, s.sum(axis=0), i)[0]
+    check_lender(game, i)
+    return _best_responses(game, np.asarray(profile, dtype=float), i)[0]
 
 
 def best_response_profile(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Stacked best responses of all lenders against the frozen profile."""
-    s = np.asarray(profile, dtype=float)
-    return _best_responses(game, s, s.sum(axis=0))[0]
+    return _best_responses(game, np.asarray(profile, dtype=float))[0]
 
 
-def _gains_and_profile(game: LendingGame, s: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response gains and best-response profile at s, with column sums
-    col = s.sum(axis=0), from one kernel call.
+def _gains_and_profile(game: LendingGame, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response gains and best-response profile at s, from one kernel
+    call.
 
     Lender i's utility at row x is span * sum_j x_j (1 - (R_j + x_j) / d_j),
     so the gain of x over s_i is span * sum_j (x - s)(1 - (R + x + s) / d).
     """
-    x, residual = _best_responses(game, s, col)
+    x, residual = _best_responses(game, s)
     gains = game.rate_span * ((x - s) * (1.0 - (residual + x + s) / game.demands)).sum(axis=1)
     return gains, x
 
@@ -108,5 +100,4 @@ def _gains_and_profile(game: LendingGame, s: np.ndarray, col: np.ndarray) -> tup
 def best_response_gains(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Utility improvement each lender obtains by switching to its best
     response; non-negative by optimality."""
-    s = np.asarray(profile, dtype=float)
-    return _gains_and_profile(game, s, s.sum(axis=0))[0]
+    return _gains_and_profile(game, np.asarray(profile, dtype=float))[0]

@@ -66,7 +66,7 @@ def _join_floats(values: np.ndarray, sep: str) -> str:
 class Scenario:
     game: gm.LendingGame
     initial_profile: np.ndarray | None
-    dynamics: dict
+    dynamics: DynamicsConfig
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -77,9 +77,9 @@ def parse_scenario(data: dict) -> Scenario:
     profile = values.get("initial_profile")
     if profile is not None:
         profile = gm.validate_profile(game, profile)
-    dynamics = values.get("dynamics") or {}
     try:
-        gm.check(FIELDS, vars(DynamicsConfig(**dynamics)))
+        dynamics = DynamicsConfig(**values.get("dynamics", {}))
+        gm.check(FIELDS, vars(dynamics))
     except (TypeError, ValueError) as exc:   # TypeError: a key that is no field
         raise ValueError(f"invalid dynamics configuration: {exc}") from None
     return Scenario(game=game, initial_profile=profile, dynamics=dynamics)
@@ -192,7 +192,7 @@ def cmd_dynamics(args) -> int:
     if args.variant is not None:
         flags["variant"] = args.variant.replace("-", "_")
     try:
-        traj = run(game, start, replace(DynamicsConfig(**scenario.dynamics), **flags))
+        traj = run(game, start, replace(scenario.dynamics, **flags))
     except ConfigError as exc:
         print(f"error: invalid dynamics configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -23,8 +23,9 @@ RK4's stability bound.
 `run` takes steps in blocks and evaluates the block's potentials and gaps
 in one call.  The steps a block computes after the stop step are dropped,
 so the trajectory is the one a step-by-step loop records.  Each variant's
-per-run constants are bound once, and each profile's column sums are
-computed once, shared by its potential and the next step.
+per-run constants are bound once.  A step sums its profile's columns once
+per evaluation of its field, and a block's potentials sum the columns of
+all its profiles in one call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .best_response import _best_responses, _capped_projection, _gains_and_profile
 from .equilibrium import solve_equilibrium
-from .game import LendingGame, Rule, _potential, _potential_gradient, check, potential, validate_profile
+from .game import LendingGame, Rule, check, potential, potential_gradient, validate_profile
 
 VARIANTS = ("eager", "randomised", "pseudo_gradient", "continuous")
 
@@ -164,36 +165,29 @@ def _blend(s: np.ndarray, i: int, target: np.ndarray, alpha: float) -> np.ndarra
     return out
 
 
-# The private steps take the profile s with its column sums col =
-# s.sum(axis=0) and the variant's per-run constants.
-
-
-def _eager(game: LendingGame, s: np.ndarray, col: np.ndarray, alpha: float):
-    gains, targets = _gains_and_profile(game, s, col)
+def _eager(game: LendingGame, s: np.ndarray, alpha: float):
+    gains, targets = _gains_and_profile(game, s)
     i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
     return _blend(s, i, targets[i], alpha), i, gains[i]
 
 
-def _randomised(game: LendingGame, s: np.ndarray, col: np.ndarray, alpha: float, i: int) -> np.ndarray:
-    return _blend(s, i, _best_responses(game, s, col, i)[0], alpha)
+def _randomised(game: LendingGame, s: np.ndarray, alpha: float, i: int) -> np.ndarray:
+    return _blend(s, i, _best_responses(game, s, i)[0], alpha)
 
 
-def _pseudo_gradient(game: LendingGame, s: np.ndarray, col: np.ndarray, scaled_step: np.ndarray) -> np.ndarray:
+def _pseudo_gradient(game: LendingGame, s: np.ndarray, scaled_step: np.ndarray) -> np.ndarray:
     """scaled_step is pg_step * pg_weights[:, None]."""
-    return _capped_projection(s + scaled_step * _potential_gradient(game, s, col), game.budgets)
+    return _capped_projection(s + scaled_step * potential_gradient(game, s), game.budgets)
 
 
-def _continuous(game: LendingGame, s: np.ndarray, col: np.ndarray, h: float) -> np.ndarray:
-    def field_at(x, x_col):
-        return _best_responses(game, x, x_col)[0] - x
+def _continuous(game: LendingGame, s: np.ndarray, h: float) -> np.ndarray:
+    def field_at(x):
+        return _best_responses(game, x)[0] - x
 
-    k1 = field_at(s, col)
-    x = s + 0.5 * h * k1
-    k2 = field_at(x, x.sum(axis=0))
-    x = s + 0.5 * h * k2
-    k3 = field_at(x, x.sum(axis=0))
-    x = s + h * k3
-    k4 = field_at(x, x.sum(axis=0))
+    k1 = field_at(s)
+    k2 = field_at(s + 0.5 * h * k1)
+    k3 = field_at(s + 0.5 * h * k2)
+    k4 = field_at(s + h * k3)
     out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # RK4 can leave the feasible set by integrator error only; clip it.
     np.clip(out, 0.0, None, out=out)
@@ -208,8 +202,7 @@ def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np
     """One eager update: the lender with the highest best-response gain
     (lowest index on ties) blends a fraction alpha toward its best response.
     Returns (new profile, chosen lender, that lender's gain)."""
-    s = np.asarray(profile, dtype=float)
-    out, i, gain = _eager(game, s, s.sum(axis=0), alpha)
+    out, i, gain = _eager(game, np.asarray(profile, dtype=float), alpha)
     return out, i, float(gain)
 
 
@@ -224,7 +217,7 @@ def step_randomised(
     and apply the same alpha-blend toward its best response."""
     s = np.asarray(profile, dtype=float)
     i = int(rng.choice(game.m, p=weights))
-    return _randomised(game, s, s.sum(axis=0), alpha, i), i
+    return _randomised(game, s, alpha, i), i
 
 
 def step_pseudo_gradient(
@@ -237,8 +230,7 @@ def step_pseudo_gradient(
     weighted utility gradient, then is projected back onto its budget set."""
     if pg_step > pg_step_bound(game, pg_weights):
         raise ValueError("pg_step exceeds the stability bound")
-    s = np.asarray(profile, dtype=float)
-    return _pseudo_gradient(game, s, s.sum(axis=0), pg_step * np.asarray(pg_weights)[:, None])
+    return _pseudo_gradient(game, np.asarray(profile, dtype=float), pg_step * np.asarray(pg_weights)[:, None])
 
 
 def _lender_draw(weights: np.ndarray, rng: np.random.Generator):
@@ -251,23 +243,23 @@ def _lender_draw(weights: np.ndarray, rng: np.random.Generator):
 
 
 def _stepper(game: LendingGame, cfg: DynamicsConfig):
-    """The resolved config's step, (s, col) -> (next profile, updating
-    lender or -1), with its per-run constants bound."""
+    """The resolved config's step, s -> (next profile, updating lender or
+    -1), with its per-run constants bound."""
     if cfg.variant == "eager":
-        return lambda s, col: _eager(game, s, col, cfg.alpha)[:2]
+        return lambda s: _eager(game, s, cfg.alpha)[:2]
     if cfg.variant == "randomised":
         draw = _lender_draw(cfg.lender_weights, np.random.Generator(np.random.Philox(cfg.seed)))
 
-        def randomised(s, col):
+        def randomised(s):
             i = draw()
-            return _randomised(game, s, col, cfg.alpha, i), i
+            return _randomised(game, s, cfg.alpha, i), i
 
         return randomised
     if cfg.variant == "pseudo_gradient":
         scaled_step = cfg.pg_step * cfg.pg_weights[:, None]
-        return lambda s, col: (_pseudo_gradient(game, s, col, scaled_step), -1)
+        return lambda s: (_pseudo_gradient(game, s, scaled_step), -1)
     h = float(cfg.ode_step)
-    return lambda s, col: (_continuous(game, s, col, h), -1)
+    return lambda s: (_continuous(game, s, h), -1)
 
 
 def integrate_continuous(
@@ -299,13 +291,11 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
 
     phi_star = potential(game, solve_equilibrium(game).profile)
     step = _stepper(game, cfg)
-    col = s.sum(axis=0)
-    phi = _potential(game, s[None], col[None])
+    phi = potential(game, s[None])
     lenders, potentials, gaps = [-1], [phi], [phi_star - phi]
     snapshots = [(0, s.copy())]
     max_block = min(MAX_BLOCK, max(1, BLOCK_FLOATS // s.size))
     block = np.empty((max_block,) + s.shape)
-    block_cols = np.empty((max_block, game.n))
     status = STATUS_ITERATION_CAP
     t = 0  # steps recorded
     while t < n_steps and status != STATUS_CONVERGED:
@@ -316,12 +306,10 @@ def run(game: LendingGame, initial_profile: np.ndarray, config: DynamicsConfig) 
         # the steps per variant are computed and dropped on dynamics-mix.
         k = min(max_block, max(1, t // 16), n_steps - t)
         for b in range(k):
-            s, lender = step(s, col)
-            col = s.sum(axis=0)
+            s, lender = step(s)
             block[b] = s
-            block_cols[b] = col
             lenders.append(lender)
-        phi = _potential(game, block[:k], block_cols[:k])
+        phi = potential(game, block[:k])
         gap = phi_star - phi
         hit = np.flatnonzero(gap <= cfg.stop_gap)
         if hit.size:

@@ -65,20 +65,9 @@ def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
     return k, perm
 
 
-def _market_rate(game: LendingGame, mbar: int, exhausted_frac: float) -> float:
-    """Equilibrium rate given mbar exhausted lenders whose budgets sum to
-    exhausted_frac of total demand."""
-    m = game.m
-    return float(
-        game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
-        + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)
-    )
-
-
 def market_rate(game: LendingGame) -> float:
     """Common equilibrium interest rate offered by every borrower."""
-    mbar, perm = compute_threshold_index(game)
-    return _market_rate(game, mbar, game.budgets[perm[:mbar]].sum() / game.total_demand)
+    return solve_equilibrium(game).market_rate
 
 
 def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
@@ -111,7 +100,8 @@ def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
         exhausted_set=np.sort(exhausted),
         multipliers_budget=mu_budget,
         multipliers_nonneg=np.zeros((m, n)),
-        market_rate=_market_rate(game, mbar, exhausted_frac),
+        market_rate=float(game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
+                          + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)),
     )
 
 
@@ -125,7 +115,7 @@ def kkt_check(
     """Residuals of the KKT system of the potential-maximisation problem.
 
     Stationarity residual is the max absolute value of
-    (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1) - mu_i + mu_ij.
+    potential_gradient(s)_ij - mu_i + mu_ij.
     `tolerance` is relative: primal to the cash scale, stationarity and dual
     to the rate span, slackness to the utility scale.
     """

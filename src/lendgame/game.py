@@ -218,9 +218,15 @@ def utilities(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     return s @ margin
 
 
+def check_lender(game: LendingGame, i: int) -> None:
+    """Raise IndexError unless i is an integer lender index in [0, m).  A
+    boolean is refused: s[True] adds an axis instead of picking lender 1."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < game.m:
+        raise IndexError(f"lender index {i!r} out of range for m={game.m}")
+
+
 def utility(game: LendingGame, profile: np.ndarray, i: int) -> float:
-    if not 0 <= i < game.m:
-        raise IndexError(f"lender index {i} out of range for m={game.m}")
+    check_lender(game, i)
     return float(utilities(game, profile)[i])
 
 
@@ -235,15 +241,10 @@ def potential(game: LendingGame, profile: np.ndarray) -> float | np.ndarray:
     array of shape (...) whose entries have the bits of the single calls.
     """
     s = np.asarray(profile, dtype=float)
-    phi = _potential(game, s, s.sum(axis=-2))
-    return float(phi) if phi.ndim == 0 else phi
-
-
-def _potential(game: LendingGame, s: np.ndarray, col: np.ndarray):
-    """Potential of profile(s) s with column sums col = s.sum(axis=-2)."""
-    sq = (s * s).sum(axis=-2)
+    sq, col = (s * s).sum(axis=-2), s.sum(axis=-2)
     span = game.rate_span
-    return (-span / (2.0 * game.demands) * (sq + col * col) + span * col).sum(axis=-1)
+    phi = (-span / (2.0 * game.demands) * (sq + col * col) + span * col).sum(axis=-1)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
@@ -260,9 +261,4 @@ def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Gradient of the potential: entry (i, j) is
     (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1)."""
     s = np.asarray(profile, dtype=float)
-    return _potential_gradient(game, s, s.sum(axis=0))
-
-
-def _potential_gradient(game: LendingGame, s: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Potential gradient at s with column sums col = s.sum(axis=0)."""
-    return (game.rate_min - game.rate_max) * ((s + col) / game.demands - 1.0)
+    return (game.rate_min - game.rate_max) * ((s + s.sum(axis=0)) / game.demands - 1.0)

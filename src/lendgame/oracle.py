@@ -20,7 +20,7 @@ import numpy as np
 
 from .best_response import _capped_projection
 from .dynamics import BLOCK_FLOATS, pg_step_bound, project_capped_simplex
-from .game import LendingGame, potential, potential_gradient, validate_profile
+from .game import LendingGame, check_lender, potential, potential_gradient, validate_profile
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,7 @@ def grid_best_response(
     """
     if game.n > 3:
         raise ValueError("grid oracle is limited to n <= 3")
+    check_lender(game, i)
     s = np.asarray(profile, dtype=float)
     residual = s.sum(axis=0) - s[i]
     budget = float(game.budgets[i])

@@ -135,8 +135,13 @@ def test_grid_oracle_matches_water_fill():
 
 
 def test_bad_index(two_lender_game):
-    with pytest.raises(IndexError):
-        best_response(two_lender_game, np.zeros((2, 1)), 2)
+    # A boolean is no lender index: True would read as lender 1 in a range
+    # check and as a new axis in s[True].
+    s = np.zeros((2, 1))
+    for i in (two_lender_game.m, -1, 1.0, True, np.True_):
+        for fn in (best_response, utility, grid_best_response):
+            with pytest.raises(IndexError):
+                fn(two_lender_game, s, i)
 
 
 def loop_water_fill(demands, residual, budget):

@@ -65,7 +65,7 @@ def assert_same_text(new, ref):
 
 def assert_same_report(game):
     """Both writers give the same report for a game; returns its text."""
-    scenario = cli.Scenario(game=game, initial_profile=None, dynamics={})
+    scenario = cli.Scenario(game=game, initial_profile=None, dynamics=DynamicsConfig())
     new, ref = io.StringIO(), io.StringIO()
     cli.write_equilibrium_report(scenario, new)
     reference_write_equilibrium_report(scenario, ref)
