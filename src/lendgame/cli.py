@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -42,11 +43,13 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Entries per `%` in `_join_floats`.  Whole rows format no faster: on
-# 1000-wide reports they left 20 MB free but held in the C heap
-# (fragmentation), +8.7 MB of peak RSS; chunks of 16 to 128 left 0.4 MB.
+# Entries per `%` in `_join_floats`, and trajectory rows per `%` in
+# `export_trajectory`.  Whole rows format no faster: on 1000-wide reports
+# they left 20 MB free but held in the C heap (fragmentation), +8.7 MB of
+# peak RSS; chunks of 16 to 128 left 0.4 MB.
 _CHUNK = 64
 _CHUNK_TEMPLATES = {sep: sep.join(("%.17g",) * _CHUNK) for sep in (" ", ",")}
+_TRAJECTORY_ROW = "%d,%.17g,%d,%.17g,%.17g\n"
 
 
 def _join_floats(values: np.ndarray, sep: str) -> str:
@@ -104,13 +107,14 @@ def load_scenario(path: str) -> Scenario:
 
 def load_scenario_or_exit(path: str) -> Scenario:
     """Load a scenario, or report the error and exit 3 (unreadable) or 2
-    (malformed); `main` turns the exit into its return code."""
+    (malformed); `main` turns the exit into its return code.  JSON nested
+    deeper than the interpreter's recursion limit is malformed too."""
     try:
         return load_scenario(path)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: malformed scenario: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
 
@@ -170,18 +174,26 @@ def cmd_solve(args) -> int:
 
 
 def export_trajectory(traj, path: str) -> None:
+    """Write the trajectory CSV and its snapshot side file.  Trajectory rows
+    are read from the arrays, formatted by one `%` and written a chunk of
+    _CHUNK rows at a time, so no more than a chunk of them is ever held as
+    Python objects or text; snapshot rows take one `%` each, with a template
+    built per file."""
     with open(path, "w") as fh:
         fh.write("step,time,lender_updated,potential,lyapunov_gap\n")
         columns = (traj.steps, traj.times, traj.lenders, traj.potentials, traj.lyapunov_gaps)
-        for row in zip(*(column.tolist() for column in columns)):
-            fh.write("%d,%.17g,%d,%.17g,%.17g\n" % row)
+        for k in range(0, traj.steps.size, _CHUNK):
+            rows = zip(*(column[k:k + _CHUNK].tolist() for column in columns))
+            chunk = tuple(chain.from_iterable(rows))
+            fh.write((_TRAJECTORY_ROW * (len(chunk) // 5)) % chunk)
     with open(path + ".profiles.csv", "w") as fh:
         if traj.snapshots:
             m, n = traj.snapshots[0][1].shape
             header = ["step"] + [f"s_{i}_{j}" for i in range(m) for j in range(n)]
             fh.write(",".join(header) + "\n")
+            row = "%d," + ",".join(("%.17g",) * (m * n)) + "\n"
             for step, profile in traj.snapshots:
-                fh.write(f"{step}," + _join_floats(profile.ravel(), ",") + "\n")
+                fh.write(row % (step, *profile.ravel().tolist()))
 
 
 def cmd_dynamics(args) -> int:

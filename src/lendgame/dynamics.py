@@ -190,8 +190,8 @@ def _continuous(game: LendingGame, s: np.ndarray, h: float) -> np.ndarray:
     k4 = field_at(s + h * k3)
     out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # RK4 can leave the feasible set by integrator error only; clip it.
-    np.clip(out, 0.0, None, out=out)
-    excess = out.sum(axis=1) / game.budgets
+    np.maximum(out, 0.0, out=out)
+    excess = np.add.reduce(out, axis=1) / game.budgets
     over = excess > 1.0
     if over.any():
         out[over] /= excess[over, None]

@@ -241,9 +241,9 @@ def potential(game: LendingGame, profile: np.ndarray) -> float | np.ndarray:
     array of shape (...) whose entries have the bits of the single calls.
     """
     s = np.asarray(profile, dtype=float)
-    sq, col = (s * s).sum(axis=-2), s.sum(axis=-2)
+    sq, col = np.add.reduce(s * s, axis=-2), np.add.reduce(s, axis=-2)
     span = game.rate_span
-    phi = (-span / (2.0 * game.demands) * (sq + col * col) + span * col).sum(axis=-1)
+    phi = np.add.reduce(-span / (2.0 * game.demands) * (sq + col * col) + span * col, axis=-1)
     return float(phi) if phi.ndim == 0 else phi
 
 
@@ -261,4 +261,4 @@ def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Gradient of the potential: entry (i, j) is
     (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1)."""
     s = np.asarray(profile, dtype=float)
-    return (game.rate_min - game.rate_max) * ((s + s.sum(axis=0)) / game.demands - 1.0)
+    return (game.rate_min - game.rate_max) * ((s + np.add.reduce(s, axis=0)) / game.demands - 1.0)

@@ -337,3 +337,43 @@ def test_kernel_tie_at_full_prefix_bound():
             ref, last = reference_capped_projection(b * scale, cap, w)
             assert out.tobytes() == ref.tobytes(), (b, cap, w)
             assert last[0] < n - 1
+
+
+@pytest.mark.parametrize("w, expected", [
+    (None, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    (np.array([0.5, 2.0, 1.5]), [[0.6, 0.3999999999999999, 0.0], [0.0, 0.0, 0.0]]),
+], ids=["unit", "weighted"])
+def test_kernel_no_warning_on_rows_under_the_cap(w, expected):
+    # The kernel works on whole rows.  A row under the cap must not enter
+    # its arithmetic: here the prefix sums of the second row would
+    # overflow.  The expected bytes are those of the kernel that gathered
+    # the over-cap rows and never touched the others.
+    b = np.array([[2.0, 1.0, 0.5], [-1e308, -1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _capped_projection(b, np.array([1.0, 1.0]), w)
+    assert out.tobytes() == np.array(expected).tobytes()
+
+
+def test_kernel_mixed_rows_match_reference_bit_for_bit():
+    # Batches in which some rows are over their own cap and some are not,
+    # the latter including huge, infinite and NaN entries that the
+    # arithmetic of an over-cap row would turn into warnings.
+    rng = seeded_rng(37)
+    weights = seeded_rng(38)
+    fills = (-1e308, -np.inf, np.nan, 0.0, -0.0)
+    for k in range(2_000):
+        rows, n = int(rng.integers(2, 10)), int(rng.integers(1, 13))
+        b = rng.uniform(-1.0, 2.0, (rows, n)) * 10.0 ** int(rng.integers(-9, 13))
+        x = np.maximum(b, 0.0)
+        cap = x.sum(axis=1) * rng.uniform(0.2, 1.8, rows)
+        under = rng.random(rows) < 0.5
+        cap[under] = np.inf if k % 5 == 0 else x[under].sum(axis=1) * 2.0 + 1.0
+        for i in np.flatnonzero(under & (rng.random(rows) < 0.5)):
+            b[i, rng.random(n) < 0.5] = fills[k % len(fills)]
+        for w in (None, 0.5 * weights.uniform(0.5, 100.0, n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = _capped_projection(b, cap, w)
+            ref, _ = reference_capped_projection(b, cap, w)
+            assert out.tobytes() == ref.tobytes(), (b, cap, w)

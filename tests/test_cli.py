@@ -196,6 +196,22 @@ def test_integer_beyond_float_range_exits_2(tmp_path, command, overrides):
     assert "malformed scenario" in proc.stderr and "float range" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "dynamics", "verify"])
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"lenders": ' + "[" * 5_000 + "]" * 5_000 + "}",
+], ids=["bare_brackets", "nested_lenders"])
+def test_deeply_nested_json_exits_2(tmp_path, command, text):
+    # json raises RecursionError, not a ValueError, past the recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    extra = ["--output", str(tmp_path / "t.csv")] if command == "dynamics" else []
+    proc = run_cli(command, str(path), *extra)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: malformed scenario: ") and "recursion" in proc.stderr
+
+
 def _amounts(v):
     return {"lenders": [v, v], "borrowers": [v, v], "rate_min": 0.02, "rate_max": 0.08}
 

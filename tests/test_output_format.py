@@ -55,6 +55,23 @@ def reference_export_trajectory(traj, path):
                 fh.write(str(step) + "," + ",".join(fmt(v) for v in profile.ravel()) + "\n")
 
 
+def rowwise_export_trajectory(traj, path):
+    """The writer before trajectory rows were formatted by chunk: one `%`
+    per trajectory row, and snapshot rows by cli._join_floats."""
+    with open(path, "w") as fh:
+        fh.write("step,time,lender_updated,potential,lyapunov_gap\n")
+        columns = (traj.steps, traj.times, traj.lenders, traj.potentials, traj.lyapunov_gaps)
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write("%d,%.17g,%d,%.17g,%.17g\n" % row)
+    with open(path + ".profiles.csv", "w") as fh:
+        if traj.snapshots:
+            m, n = traj.snapshots[0][1].shape
+            header = ["step"] + [f"s_{i}_{j}" for i in range(m) for j in range(n)]
+            fh.write(",".join(header) + "\n")
+            for step, profile in traj.snapshots:
+                fh.write(f"{step}," + cli._join_floats(profile.ravel(), ",") + "\n")
+
+
 def assert_same_text(new, ref):
     # Line by line: on a failure pytest shows the first line that differs,
     # where a diff of the whole text would take minutes.
@@ -182,3 +199,37 @@ def test_export_matches_reference_on_extreme_values(tmp_path):
                       snapshots=[(0, values.reshape(3, 5)), (10, -values.reshape(3, 5))],
                       status="converged")
     assert_same_export(traj, tmp_path)
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (12, 12)])
+def test_chunked_export_matches_rowwise_writer(tmp_path, rows, m, n):
+    # Trajectory rows go out in chunks of CHUNK rows, so 1, CHUNK and
+    # CHUNK + 1 rows take a short, a full and a full plus a short chunk;
+    # a 12 x 12 snapshot row holds 144 floats, more than a chunk of
+    # _join_floats.  Every column gets signed zeros and the SPECIALS.
+    rng = np.random.default_rng(rows * 1000 + m * n)
+
+    def floats(shape):
+        values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        flat = values.reshape(-1)
+        flat[::3] = rng.choice(SPECIALS + [-0.0], flat[::3].size)
+        flat[0] = -0.0
+        return values
+
+    snapshots = [(step, floats((m, n))) for step in range(0, rows, 10)]
+    traj = Trajectory(steps=np.arange(rows), times=floats(rows),
+                      lenders=rng.integers(-1, m, rows), potentials=floats(rows),
+                      lyapunov_gaps=floats(rows), snapshots=snapshots,
+                      final_profile=snapshots[-1][1], status="converged")
+    new, ref, rowwise = (str(tmp_path / name) for name in ("new.csv", "ref.csv", "rowwise.csv"))
+    cli.export_trajectory(traj, new)
+    reference_export_trajectory(traj, ref)
+    rowwise_export_trajectory(traj, rowwise)
+    for suffix in ("", ".profiles.csv"):
+        with open(new + suffix, "rb") as a:
+            text = a.read()
+        for other in (ref, rowwise):
+            with open(other + suffix, "rb") as b:
+                assert_same_text(text, b.read())
+        assert b",-0," in text or b",-0\n" in text
