@@ -6,12 +6,16 @@ CLI flags override the block.  Trajectories are CSV with the columns
 `step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
 thinned profile snapshots.  Every float that `solve` and `dynamics` write
 is formatted with `%.17g` (17 significant digits, enough to read back the
-same double), so outputs are byte-stable and diff meaningfully.  `verify`
-runs the suite of lendgame.verify on one scenario or on K random games and
-prints its PASS/FAIL table; here it only loads or draws the instances.
+same double), so outputs are byte-stable and diff meaningfully.  The
+report's blocks of floats take an exactly rounded `%.17g` computed by
+array operations (_float_text), which writes the same bytes as `%`.
+`verify` runs the suite of lendgame.verify on one scenario or on K random
+games and prints its PASS/FAIL table; here it only loads or draws the
+instances.
 
-Exit codes: 0 success, 2 malformed scenario or flags, 3 I/O failure,
-4 iteration cap reached, 5 verification failure.
+Exit codes: 0 success, 2 malformed scenario or flags, 3 I/O failure
+(an unreadable scenario, an output file or stdout that cannot be written,
+a closed pipe included), 4 iteration cap reached, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -43,26 +47,179 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Entries per `%` in `_join_floats`, and trajectory rows per `%` in
-# `export_trajectory`.  Whole rows format no faster: on 1000-wide reports
-# they left 20 MB free but held in the C heap (fragmentation), +8.7 MB of
-# peak RSS; chunks of 16 to 128 left 0.4 MB.
+# Trajectory rows per `%` in `export_trajectory`.
 _CHUNK = 64
-_CHUNK_TEMPLATES = {sep: sep.join(("%.17g",) * _CHUNK) for sep in (" ", ",")}
 _TRAJECTORY_ROW = "%d,%.17g,%d,%.17g,%.17g\n"
 
+# `%.17g` by array operations, for the report's large blocks of floats.
+#
+# Digits.  For |x| in [1e-10, 1e25) let k = floor(log10 |x|).  The 17
+# significant digits are the integer nearest to n = |x| 10^(16-k), which
+# lies in [1e16, 1e17).  n' is n computed in long double as one product
+# |x| 10^p, or one quotient |x| / 10^-p when p = 16 - k < 0.  With a
+# 64-bit significand, 10^|p| is exact for |p| <= 27 (5^27 < 2^63), so n'
+# carries one rounding: |n' - n| <= half an ulp of n' <= 2^-8, as
+# n' < 2^57.  Rounding to nearest is monotone, and every half-integer
+# below 2^63 is a long double, so n' lies on the same side as n of every
+# half-integer, unless n' is one.  Hence where the fraction of n' is not
+# 1/2, the integer nearest n' is the integer nearest n, and the digits
+# are exactly rounded.  log10 can put k one off near a power of ten; a
+# floor of n' outside [1e16, 1e17) shows it, and n' is computed again with
+# k corrected.  These go through `%` itself: a fraction of exactly 1/2; a
+# floor still outside the range; digits that round up to 1e17, which no
+# double in the range has (n would lie within 5e-18 relative of 1e17, but
+# the largest double below 10^j, for j from -9 to 25, lies at least 1.6e-17
+# relative below it); 0, subnormals, inf, nan and anything else outside
+# [1e-10, 1e25); and every value where long double has fewer than 64 bits
+# (_EXACT false).
+#
+# Text.  `%g` writes fixed notation for -4 <= k < 17, else d.ddde+XX, and
+# strips trailing zeros.  A window of the digit string, padded with '0's
+# on the left and taken at an offset that depends on k, puts the integer
+# digits left of a fixed column and the fraction right of it; a second
+# window starts at the sign or the first digit.  Windows are fancy-indexed
+# views whose items overlap (see _bytes_view), so each moves every row by
+# its own offset in one copy.
+_EXACT = np.finfo(np.longdouble).nmant >= 63
+_ENTRIES = 2 ** 12   # floats per call of _format_chunk
+_K_LO = -11          # k before correction lies in [-11, 25]
+_MUL = np.array([np.longdouble(10) ** max(16 - k, 0) for k in range(_K_LO, 26)])
+_DIV = np.array([np.longdouble(10) ** max(k - 16, 0) for k in range(_K_LO, 26)])
+_G = np.arange(1000)
+# Each 3-digit group 000..999 as ASCII in the high 3 bytes of a uint32,
+# after a '0', and its trailing zeros (3 for 000).
+_GROUP = (48 | (48 + _G // 100) << 8 | (48 + _G // 10 % 10) << 16 | (48 + _G % 10) << 24)
+_GROUP = _GROUP.astype("<u4")
+_GROUP_ZEROS = (_G % 10 == 0).astype(np.intp) + (_G % 100 == 0) + (_G == 0)
+_WIDTH = 40          # bytes per row of the digit and text buffers
+_OUT = 25            # longest text, "-2.2250738585072014e-308", and a separator
+# Item x of _PREFIX is x True and then False bools.
+_PREFIX = np.tri(_OUT + 1, _OUT, -1, dtype=bool).view(f"V{_OUT}")[:, 0]
 
-def _join_floats(values: np.ndarray, sep: str) -> str:
-    """sep.join(fmt(v) for v in values), formatted by one `%` per chunk of
-    _CHUNK entries instead of one call per number; sep is " " or ","."""
-    items = values.tolist()
+
+def _bytes_view(buf: np.ndarray, dtype: str, offset: int, stride: int) -> np.ndarray:
+    """A 1-D view of buf's bytes: items of dtype at offset, offset + stride,
+    and so on.  With stride 1 the items overlap: item i is the window of
+    bytes that starts at offset + i."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray(((buf.nbytes - offset - size) // stride + 1,), dtype, buf, offset, (stride,))
+
+
+def _scale(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a 10^(16 - k) for long doubles a, with one rounding."""
+    i = k - _K_LO
+    n = _MUL[i]
+    n *= a
+    big = np.flatnonzero(k > 16)
+    n[big] /= _DIV[i[big]]
+    return n
+
+
+def _decimal(values: np.ndarray):
+    """(digits, k, exact): the 17 significant digits of |values| as integers
+    in [1e16, 1e17), their decimal exponents, and where they are exactly
+    rounded (see above); digits and k are meaningless elsewhere."""
+    x = np.abs(values)
+    exact = (x >= 1e-10) & (x < 1e25) & _EXACT
+    x[~exact] = 1.0
+    k = np.floor(np.log10(x)).astype(np.intp)
+    a = x.astype(np.longdouble)
+    n = _scale(a, k)
+    floor = n.astype(np.uint64)
+    shift = (floor >= 10 ** 17).astype(np.int8) - (floor < 10 ** 16)
+    off = np.flatnonzero(shift)
+    k[off] += shift[off]
+    n[off] = _scale(a[off], k[off])
+    floor[off] = n[off].astype(np.uint64)
+    n -= floor
+    frac = n.astype(np.float64)   # exact: a multiple of 2^-10
+    digits = floor + (frac > 0.5)
+    exact &= (frac != 0.5) & (floor >= 10 ** 16) & (digits < 10 ** 17)
+    return digits, k, exact
+
+
+def _digit_rows(digits: np.ndarray):
+    """(rows, sig): row i holds 20 '0's and then the 17 digits of digits[i];
+    sig[i] counts them without trailing zeros.  An extra row pads the
+    windows that run past the last one."""
+    rows = np.full((digits.size + 1, _WIDTH), ord("0"), np.uint8)
+    zeros = np.zeros(digits.size, np.intp)
+    trailing = np.arange(digits.size)   # rows with only zeros so far
+    # 3-digit groups from the last; the leading one has 2 digits and a '0'
+    # that falls on the padding.  Each is written as 4 bytes, the first a
+    # '0' that the next group to the left overwrites.
+    for at in range(33, 17, -3):
+        head = digits // 1000
+        group = digits - head * 1000
+        _bytes_view(rows, "<u4", at, _WIDTH)[:digits.size] = _GROUP[group]
+        zeros[trailing] += _GROUP_ZEROS[group[trailing]]
+        trailing = trailing[group[trailing] == 0]
+        digits = head
+    return rows, 17 - zeros
+
+
+def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """The `%.17g` texts of values, each followed by its separator."""
+    count = values.size
+    digits, k, exact = _decimal(values)
+    rows, sig = _digit_rows(digits)
+    # Fixed notation puts the point at column 18 of a text row and the
+    # digit of 10^j at column 17 - j, or 18 - j for j < 0; column 0 leaves
+    # room for the sign of a 17-digit integer.  Exponent notation takes the
+    # layout of k = 0.
+    expo = (k < -4) | (k > 16)
+    kf = np.where(expo, 0, k)
+    at = np.arange(count) * _WIDTH + kf + 4
+    text = np.empty((count + 1, _WIDTH), np.uint8)
+    _bytes_view(text, "V17", 1, _WIDTH)[:count] = _bytes_view(rows, "V17", 0, 1)[at]
+    _bytes_view(text, "V20", 19, _WIDTH)[:count] = _bytes_view(rows, "V20", 17, 1)[at]
+    del rows
+    text[:, 18] = ord(".")
+    start = 17 - np.maximum(kf, 0)
+    end = np.where(sig - kf >= 2, 18 + sig - kf, 18)   # no bare point
+    base = np.arange(count) * _WIDTH
+    flat = text.reshape(-1)
+    neg = np.flatnonzero(np.signbit(values) & exact)
+    start[neg] -= 1
+    flat[base[neg] + start[neg]] = ord("-")
+    e = np.flatnonzero(expo & exact)
+    if e.size:
+        pos, ke = base[e] + end[e], k[e]
+        flat[pos] = ord("e")
+        flat[pos + 1] = np.where(ke < 0, ord("-"), ord("+"))
+        flat[pos + 2] = 48 + np.abs(ke) // 10
+        flat[pos + 3] = 48 + np.abs(ke) % 10
+        end[e] += 4
+    # Each text and its separator, from the sign or first digit on.
+    out = _bytes_view(text, f"V{_OUT}", 0, 1)[base + start]
+    del text
+    length = end - start
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        texts = [b"%.17g" % v for v in values[slow].tolist()]
+        out[slow] = np.array(texts, f"S{_OUT}").view(f"V{_OUT}")
+        length[slow] = [len(t) for t in texts]
+    out8 = out.view(np.uint8)
+    out8[np.arange(count) * _OUT + length] = seps
+    return out8[_PREFIX[length + 1].view(bool)].tobytes()
+
+
+def _float_text(values: np.ndarray, n: int) -> bytes:
+    """The `%.17g` texts of a 1-D float array, n to a line: each followed
+    by a space, or by a newline if it ends a line.  Formatted _ENTRIES
+    floats at a time."""
     parts = []
-    for k in range(0, len(items), _CHUNK):
-        chunk = tuple(items[k:k + _CHUNK])
-        template = (_CHUNK_TEMPLATES[sep] if len(chunk) == _CHUNK
-                    else sep.join(("%.17g",) * len(chunk)))
-        parts.append(template % chunk)
-    return sep.join(parts)
+    for k in range(0, values.size, _ENTRIES):
+        chunk = values[k:k + _ENTRIES]
+        seps = np.full(chunk.size, ord(" "), np.uint8)
+        seps[(n - 1 - k) % n::n] = ord("\n")   # after values k + j with (k + j + 1) % n == 0
+        parts.append(_format_chunk(chunk, seps))
+    return b"".join(parts)
+
+
+def _join_floats(values: np.ndarray) -> str:
+    """" ".join(fmt(v) for v in values)."""
+    return _float_text(values, values.size)[:-1].decode()
 
 
 @dataclass
@@ -125,6 +282,29 @@ def _out_path(path: str | None, default_name: str) -> str:
     return os.path.join(os.environ.get("LENDGAME_OUTPUT_DIR", "."), default_name)
 
 
+def _write_rows(out, profile: np.ndarray, common: int | None) -> None:
+    """Write each row of the profile as "  " + _join_floats(row) + "\n".
+    Every lender outside the exhausted set lends the same row, that of
+    lender `common` (None if there is none), so that line is formatted once
+    and written again for each row with the same bits (bits, not values:
+    -0.0 and 0.0 are written differently).  The other rows are formatted a
+    block of about _ENTRIES floats at a time, and written before the next
+    block is formatted."""
+    m, n = profile.shape
+    same = np.zeros(m, dtype=bool)
+    line = ""
+    if common is not None:
+        line = "  " + _join_floats(profile[common]) + "\n"
+        rows = np.ascontiguousarray(profile).view(np.dtype((np.void, 8 * n)))[:, 0]
+        same = rows == rows[common]
+    step = max(1, _ENTRIES // n)
+    for r in range(0, m, step):
+        fresh = ~same[r:r + step]
+        lines = iter(_float_text(profile[r:r + step][fresh].ravel(), n).decode().split("\n"))
+        for row_is_fresh in fresh.tolist():
+            out.write(f"  {next(lines)}\n" if row_is_fresh else line)
+
+
 def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     game = scenario.game
     result = eq.solve_equilibrium(game)
@@ -133,23 +313,11 @@ def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     out.write(f"threshold_index {result.threshold_index}\n")
     out.write("exhausted_set " + " ".join(str(i) for i in result.exhausted_set) + "\n")
     out.write(f"market_rate {fmt(result.market_rate)}\n")
-    out.write("multipliers_budget " + _join_floats(result.multipliers_budget, " ") + "\n")
+    out.write("multipliers_budget " + _join_floats(result.multipliers_budget) + "\n")
     out.write("equilibrium_profile\n")
-    # Every lender outside the exhausted set lends the same row, so that
-    # line is formatted once and written again for each row with the same
-    # bits (bits, not values: -0.0 and 0.0 are written differently).
-    bits = result.profile.view(np.uint64)
     free = np.ones(game.m, dtype=bool)
     free[result.exhausted_set] = False
-    common = None   # (bits, line) of the first free lender's row
-    if free.any():
-        k = int(np.argmax(free))
-        common = (bits[k], "  " + _join_floats(result.profile[k], " ") + "\n")
-    for row, row_bits in zip(result.profile, bits):
-        if common is not None and np.array_equal(row_bits, common[0]):
-            out.write(common[1])
-        else:
-            out.write("  " + _join_floats(row, " ") + "\n")
+    _write_rows(out, result.profile, int(np.argmax(free)) if free.any() else None)
     out.write(f"kkt_primal_residual {fmt(report.primal_residual)}\n")
     out.write(f"kkt_stationarity_residual {fmt(report.stationarity_residual)}\n")
     out.write(f"kkt_dual_residual {fmt(report.dual_residual)}\n")
@@ -160,16 +328,16 @@ def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario_or_exit(args.scenario)
+    if args.output is None:
+        write_equilibrium_report(scenario, sys.stdout)
+        return EXIT_OK
     try:
-        if args.output is None:
-            write_equilibrium_report(scenario, sys.stdout)
-        else:
-            with open(args.output, "w") as fh:
-                result = write_equilibrium_report(scenario, fh)
-            print(f"market_rate {fmt(result.market_rate)}")
+        with open(args.output, "w") as fh:
+            result = write_equilibrium_report(scenario, fh)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
+    print(f"market_rate {fmt(result.market_rate)}")
     return EXIT_OK
 
 
@@ -292,13 +460,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's last flush of what stdout still buffers cannot fail again
+    at exit.  A stdout that is no file (a caller's buffer) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the documented code
-        return int(exc.code) if exc.code is not None else EXIT_BAD_INPUT
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags, which matches the documented code
+            code = int(exc.code) if exc.code is not None else EXIT_BAD_INPUT
+        sys.stdout.flush()   # a closed stdout fails here, not at exit
+        return code
+    except OSError as exc:
+        # Scenario and output files have their own handlers, so this is
+        # stdout: its reader has gone (EPIPE) or its device is full.
+        _detach_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

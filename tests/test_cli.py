@@ -33,6 +33,20 @@ def run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def run_cli_closed_stdout(*args, cwd=None):
+    """The CLI in a fresh interpreter whose stdout is a pipe with its read
+    end already closed, as in `lendgame ... | head -0`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "lendgame.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=120)
+    finally:
+        os.close(write_end)
+
+
 def test_solve_report(tmp_path, capsys):
     path = write_scenario(tmp_path, TWO_LENDER)
     out = tmp_path / "report.txt"
@@ -398,3 +412,28 @@ def test_bank_scale_verify_exits_0(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{scenario}"],
+    ["solve", "{big}"],
+    ["solve", "{scenario}", "--output", "report.txt"],
+    ["dynamics", "{scenario}", "--output", "t.csv"],
+    ["verify", "{scenario}"],
+    ["verify", "--random", "50"],
+], ids=["solve", "solve-large-report", "solve-output", "dynamics", "verify", "verify-random"])
+def test_closed_stdout_exits_3_without_traceback(tmp_path, argv):
+    # A closed stdout used to end in a BrokenPipeError traceback (exit 1),
+    # raised in print or in the interpreter's last flush ("Exception
+    # ignored"); `solve --output` called it a failure to write the report.
+    # The big report fills stdout's buffer, so its write fails mid-report.
+    rng = np.random.default_rng(5)
+    names = {"scenario": write_scenario(tmp_path, TWO_LENDER),
+             "big": write_scenario(tmp_path, {"lenders": rng.uniform(1, 9, 40).tolist(),
+                                              "borrowers": rng.uniform(1, 9, 40).tolist(),
+                                              "rate_min": 0.02, "rate_max": 0.08}, "big.json")}
+    proc = run_cli_closed_stdout(*(a.format(**names) for a in argv), cwd=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+    if "--output" in argv:
+        assert (tmp_path / argv[-1]).stat().st_size > 0
