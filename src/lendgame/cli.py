@@ -85,12 +85,14 @@ _ENTRIES = 2 ** 12   # floats per call of _format_chunk
 _K_LO = -11          # k before correction lies in [-11, 25]
 _MUL = np.array([np.longdouble(10) ** max(16 - k, 0) for k in range(_K_LO, 26)])
 _DIV = np.array([np.longdouble(10) ** max(k - 16, 0) for k in range(_K_LO, 26)])
-_G = np.arange(1000)
-# Each 3-digit group 000..999 as ASCII in the high 3 bytes of a uint32,
-# after a '0', and its trailing zeros (3 for 000).
-_GROUP = (48 | (48 + _G // 100) << 8 | (48 + _G // 10 % 10) << 16 | (48 + _G % 10) << 24)
-_GROUP = _GROUP.astype("<u4")
-_GROUP_ZEROS = (_G % 10 == 0).astype(np.intp) + (_G % 100 == 0) + (_G == 0)
+_G = np.arange(10_000, dtype=np.uint32)
+# Each 4-digit group 0000..9999 as 4 ASCII bytes in a uint32, and its
+# trailing zeros (4 for 0000).
+_GROUP = (48 + _G // 1000 | (48 + _G // 100 % 10) << 8 | (48 + _G // 10 % 10) << 16
+          | (48 + _G % 10) << 24).astype("<u4")
+_GROUP_ZEROS = ((_G % 10 == 0).astype(np.uint8) + (_G % 100 == 0) + (_G % 1000 == 0)
+                + (_G == 0))
+del _G
 _WIDTH = 40          # bytes per row of the digit and text buffers
 _OUT = 25            # longest text, "-2.2250738585072014e-308", and a separator
 # Item x of _PREFIX is x True and then False bools.
@@ -142,20 +144,34 @@ def _digit_rows(digits: np.ndarray):
     """(rows, sig): row i holds 20 '0's and then the 17 digits of digits[i];
     sig[i] counts them without trailing zeros.  An extra row pads the
     windows that run past the last one."""
-    rows = np.full((digits.size + 1, _WIDTH), ord("0"), np.uint8)
-    zeros = np.zeros(digits.size, np.intp)
-    trailing = np.arange(digits.size)   # rows with only zeros so far
-    # 3-digit groups from the last; the leading one has 2 digits and a '0'
-    # that falls on the padding.  Each is written as 4 bytes, the first a
-    # '0' that the next group to the left overwrites.
-    for at in range(33, 17, -3):
-        head = digits // 1000
-        group = digits - head * 1000
-        _bytes_view(rows, "<u4", at, _WIDTH)[:digits.size] = _GROUP[group]
-        zeros[trailing] += _GROUP_ZEROS[group[trailing]]
-        trailing = trailing[group[trailing] == 0]
-        digits = head
-    return rows, 17 - zeros
+    count = digits.size
+    rows = np.full((count + 1, _WIDTH), ord("0"), np.uint8)
+    # A lead digit and four 4-digit groups: one uint64 division splits the
+    # digits into two halves below 10^9, and the rest is uint32 arithmetic.
+    # The lead digit d is written as the group 000d, whose '0's fall on the
+    # padding.
+    high = digits // 10 ** 8
+    low = (digits - high * 10 ** 8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    groups = []
+    for half in (low, high):
+        head = half // 10 ** 4
+        groups += [half - head * 10 ** 4, head]
+    for at, group in zip((33, 29, 25, 21, 17), groups + [lead]):
+        _bytes_view(rows, "<u4", at, _WIDTH)[:count] = _GROUP[group]
+    # Trailing zeros, group by group from the last while a group is 0000;
+    # the lead digit of 17 digits is not 0.
+    sig = 17 - _GROUP_ZEROS[groups[0]]
+    trailing = np.flatnonzero(groups[0] == 0)
+    for group in groups[1:]:
+        if not trailing.size:
+            break
+        group = group[trailing]
+        sig[trailing] -= _GROUP_ZEROS[group]
+        trailing = trailing[group == 0]
+    return rows, sig
 
 
 def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
@@ -287,9 +303,10 @@ def _write_rows(out, profile: np.ndarray, common: int | None) -> None:
     Every lender outside the exhausted set lends the same row, that of
     lender `common` (None if there is none), so that line is formatted once
     and written again for each row with the same bits (bits, not values:
-    -0.0 and 0.0 are written differently).  The other rows are formatted a
-    block of about _ENTRIES floats at a time, and written before the next
-    block is formatted."""
+    -0.0 and 0.0 are written differently).  The other rows, the fresh ones,
+    are gathered and formatted _ENTRIES // n rows at a time, so that every
+    block but the last is full, and each block is written before the next
+    is formatted, the common lines between its rows included."""
     m, n = profile.shape
     same = np.zeros(m, dtype=bool)
     line = ""
@@ -297,12 +314,24 @@ def _write_rows(out, profile: np.ndarray, common: int | None) -> None:
         line = "  " + _join_floats(profile[common]) + "\n"
         rows = np.ascontiguousarray(profile).view(np.dtype((np.void, 8 * n)))[:, 0]
         same = rows == rows[common]
+    fresh = np.flatnonzero(~same)
+    # The common lines before each fresh row, and after the last one.
+    gaps = np.diff(fresh, prepend=-1, append=m) - 1
     step = max(1, _ENTRIES // n)
-    for r in range(0, m, step):
-        fresh = ~same[r:r + step]
-        lines = iter(_float_text(profile[r:r + step][fresh].ravel(), n).decode().split("\n"))
-        for row_is_fresh in fresh.tolist():
-            out.write(f"  {next(lines)}\n" if row_is_fresh else line)
+    for r in range(0, fresh.size, step):
+        block = fresh[r:r + step]
+        lines = _float_text(profile[block].ravel(), n).decode().split("\n")
+        for gap, text in zip(gaps[r:r + block.size].tolist(), lines):
+            _write_common(out, line, gap, step)
+            out.write(f"  {text}\n")
+    _write_common(out, line, int(gaps[-1]), step)
+
+
+def _write_common(out, line: str, count: int, step: int) -> None:
+    """Write `count` copies of line, at most `step` to a write, so that a
+    long run of common lines costs no more memory than a block of rows."""
+    for k in range(0, count, step):
+        out.write(line * min(step, count - k))
 
 
 def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:

@@ -25,7 +25,7 @@ class EquilibriumResult:
     threshold_index: int               # number of budget-exhausted lenders
     exhausted_set: np.ndarray          # original indices of those lenders
     multipliers_budget: np.ndarray     # (m,) budget-constraint multipliers
-    multipliers_nonneg: np.ndarray     # (m, n) non-negativity multipliers (all zero)
+    multipliers_nonneg: np.ndarray     # (m, n) non-negativity multipliers: a read-only view of 0.0
     market_rate: float
 
 
@@ -85,9 +85,11 @@ def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
     exhausted_frac = game.budgets[exhausted].sum() / total_d
     common_frac = (1.0 - exhausted_frac) / (m - mbar + 1)
 
-    profile = np.empty((m, n))
-    profile[exhausted] = np.outer(game.budgets[exhausted] / total_d, game.demands)
-    profile[unexhausted] = common_frac * game.demands
+    # Every row from one outer product, so no m x n temporary is made.
+    share = np.empty(m)
+    share[exhausted] = game.budgets[exhausted] / total_d
+    share[unexhausted] = common_frac
+    profile = np.outer(share, game.demands)
 
     mu_budget = np.zeros(m)
     mu_budget[exhausted] = (game.rate_min - game.rate_max) * (
@@ -99,7 +101,7 @@ def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
         threshold_index=mbar,
         exhausted_set=np.sort(exhausted),
         multipliers_budget=mu_budget,
-        multipliers_nonneg=np.zeros((m, n)),
+        multipliers_nonneg=np.broadcast_to(0.0, (m, n)),
         market_rate=float(game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
                           + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)),
     )
@@ -118,6 +120,12 @@ def kkt_check(
     potential_gradient(s)_ij - mu_i + mu_ij.
     `tolerance` is relative: primal to the cash scale, stationarity and dual
     to the rate span, slackness to the utility scale.
+
+    The gradient's array is the one m x n buffer: the stationarity terms
+    are computed in it in place, and then -s, -mu_n and mu_n s in turn, so
+    the check holds one m x n temporary, not two.  These are the
+    element-wise operations of the plain expressions, in the same order, so
+    every residual has the same bits.
     """
     s = np.asarray(profile, dtype=float)
     mu_b = np.asarray(multipliers_budget, dtype=float)
@@ -126,21 +134,24 @@ def kkt_check(
         raise ValueError("shape mismatch between game, profile and multipliers")
 
     row_sums = s.sum(axis=1)
+    buf = potential_gradient(game, s)
+    buf -= mu_b[:, None]
+    buf += mu_n
+    stationarity = float(np.abs(buf, out=buf).max())
+
     primal = max(
         float(np.maximum(row_sums - game.budgets, 0.0).max()),
-        float(np.maximum(-s, 0.0).max()),
+        float(np.maximum(np.negative(s, out=buf), 0.0, out=buf).max()),
     )
-
-    stationarity = float(np.abs(potential_gradient(game, s) - mu_b[:, None] + mu_n).max())
 
     dual = max(
         float(np.maximum(-mu_b, 0.0).max()),
-        float(np.maximum(-mu_n, 0.0).max()),
+        float(np.maximum(np.negative(mu_n, out=buf), 0.0, out=buf).max()),
     )
 
     slackness = max(
         float(np.abs(mu_b * (game.budgets - row_sums)).max()),
-        float(np.abs(mu_n * s).max()),
+        float(np.abs(np.multiply(mu_n, s, out=buf), out=buf).max()),
     )
 
     return KktReport(

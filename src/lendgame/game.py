@@ -259,6 +259,11 @@ def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
 
 def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
     """Gradient of the potential: entry (i, j) is
-    (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1)."""
+    (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1).  Computed in
+    the one array it returns, which callers may reuse."""
     s = np.asarray(profile, dtype=float)
-    return (game.rate_min - game.rate_max) * ((s + np.add.reduce(s, axis=0)) / game.demands - 1.0)
+    grad = s + np.add.reduce(s, axis=0)
+    grad /= game.demands
+    grad -= 1.0
+    grad *= game.rate_min - game.rate_max
+    return grad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,111 @@ def test_kkt_primal_violation(two_lender_game):
 def test_kkt_shape_mismatch(two_lender_game):
     with pytest.raises(ValueError):
         kkt_check(two_lender_game, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
+
+
+def sized_game(rng, m, n):
+    """A game of exactly m lenders and n borrowers, demand near supply."""
+    budgets = rng.uniform(0.5, 100.0, m)
+    demands = rng.uniform(0.5, 100.0, n)
+    return LendingGame(budgets, demands * 0.75 * budgets.sum() / demands.sum(), 0.02, 0.08)
+
+
+def reference_kkt_residuals(game, s, mu_b, mu_n):
+    """kkt_check's four residuals as plain expressions, each with its own
+    temporaries, the gradient included."""
+    row_sums = s.sum(axis=1)
+    primal = max(float(np.maximum(row_sums - game.budgets, 0.0).max()),
+                 float(np.maximum(-s, 0.0).max()))
+    grad = (game.rate_min - game.rate_max) * ((s + np.add.reduce(s, axis=0)) / game.demands - 1.0)
+    stationarity = float(np.abs(grad - mu_b[:, None] + mu_n).max())
+    dual = max(float(np.maximum(-mu_b, 0.0).max()), float(np.maximum(-mu_n, 0.0).max()))
+    slackness = max(float(np.abs(mu_b * (game.budgets - row_sums)).max()),
+                    float(np.abs(mu_n * s).max()))
+    return primal, stationarity, dual, slackness
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (8, 2), (120, 90)])
+def test_kkt_residuals_match_reference_bits(m, n):
+    # Profiles with negative entries and signed zeros, multipliers of both
+    # signs: every residual must keep the bits of the plain expressions.
+    rng = seeded_rng(m * 1000 + n)
+    for _ in range(25):
+        g = sized_game(rng, m, n)
+        s = rng.uniform(-1.0, 2.0, (m, n)) * g.budgets[:, None] / n
+        s[rng.random((m, n)) < 0.2] = 0.0
+        s[rng.random((m, n)) < 0.2] = -0.0
+        mu_b = rng.uniform(-0.1, 0.1, m) * g.rate_span
+        mu_n = rng.uniform(-0.1, 0.1, (m, n)) * g.rate_span
+        mu_n[rng.random((m, n)) < 0.2] = -0.0
+        got = kkt_check(g, s, mu_b, mu_n)
+        residuals = (got.primal_residual, got.stationarity_residual, got.dual_residual,
+                     got.slackness_residual)
+        want = reference_kkt_residuals(g, s, mu_b, mu_n)
+        assert [r.hex() for r in residuals] == [r.hex() for r in want]
+
+
+def test_kkt_check_holds_one_profile_sized_temporary():
+    # The residuals are computed in the gradient's array: the traced peak is
+    # one m x n float array and change, where the plain expressions hold two.
+    m = n = 600
+    g = sized_game(seeded_rng(21), m, n)
+    res = solve_equilibrium(g)
+    tracemalloc.start()
+    try:
+        certify(g, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * m * n
+
+
+def reference_profile(game):
+    """The equilibrium profile as rows filled apart: the exhausted rows from
+    one outer product, every other row from the common fraction."""
+    mbar, perm = compute_threshold_index(game)
+    exhausted, unexhausted = perm[:mbar], perm[mbar:]
+    total_d = game.total_demand
+    common_frac = (1.0 - game.budgets[exhausted].sum() / total_d) / (game.m - mbar + 1)
+    profile = np.empty((game.m, game.n))
+    profile[exhausted] = np.outer(game.budgets[exhausted] / total_d, game.demands)
+    profile[unexhausted] = common_frac * game.demands
+    return profile
+
+
+def test_profile_matches_rows_filled_apart():
+    # One outer product of the row shares and the demands writes the same
+    # bits as the exhausted and common rows written apart, whether no
+    # lender, some or every lender is exhausted.
+    rng = seeded_rng(23)
+    exhausted = set()
+    for m, n, supply in [(1, 1, 0.5), (6, 4, 0.75), (50, 30, 0.75), (40, 7, 0.05),
+                         (40, 7, 50.0), (200, 120, 1.0)]:
+        for _ in range(20):
+            budgets = rng.uniform(0.5, 100.0, m)
+            demands = rng.uniform(0.5, 100.0, n)
+            g = LendingGame(budgets, demands * supply * budgets.sum() / demands.sum(), 0.02, 0.08)
+            res = solve_equilibrium(g)
+            exhausted.add(("none", "some", "all")[(res.threshold_index > 0) + (res.threshold_index == m)])
+            assert res.profile.tobytes() == reference_profile(g).tobytes()
+    assert exhausted == {"none", "some", "all"}
+
+
+def test_solve_holds_one_profile_sized_array():
+    # The profile is the only m x n array the solver allocates; the
+    # non-negativity multipliers are a read-only view of one zero.
+    m = n = 600
+    g = sized_game(seeded_rng(22), m, n)
+    tracemalloc.start()
+    try:
+        res = solve_equilibrium(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * m * n
+    assert res.multipliers_nonneg.shape == (m, n)
+    assert not res.multipliers_nonneg.flags.writeable
+    assert np.all(res.multipliers_nonneg == 0.0)
+    assert not np.signbit(res.multipliers_nonneg).any()
 
 
 def test_nash_property():

@@ -115,17 +115,30 @@ class Discard:
         pass
 
 
+def row_writer_peaks(profiles, common):
+    """The traced peak of _write_rows on each profile."""
+    peaks = []
+    for profile in profiles:
+        tracemalloc.start()
+        cli._write_rows(Discard(), profile, common)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return peaks
+
+
 def test_row_formatting_peak_does_not_grow_with_rows():
     # Rows are formatted and written a block at a time, so the memory the
     # writer holds at once is a block's, whatever the number of rows.
     rng = np.random.default_rng(0)
-    peaks = []
-    for m in (200, 1000):
-        profile = rng.uniform(0.0, 1.0, (m, 1000))
-        tracemalloc.start()
-        cli._write_rows(Discard(), profile, None)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+    peaks = row_writer_peaks([rng.uniform(0.0, 1.0, (m, 1000)) for m in (200, 1000)], None)
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_common_line_peak_does_not_grow_with_rows():
+    # A run of common lines is written a block's worth of lines at a time,
+    # not as one string of the whole run.
+    row = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+    peaks = row_writer_peaks([np.tile(row, (m, 1)) for m in (200, 1000)], 0)
     assert peaks[1] <= 1.1 * peaks[0]
 
 
@@ -139,3 +152,35 @@ def test_lines_of_n_across_chunks(n, size):
     texts = [b"%.17g" % v for v in values.tolist()]
     want = b"".join(t + (b"\n" if (i + 1) % n == 0 else b" ") for i, t in enumerate(texts))
     assert cli._float_text(values, n) == want
+
+
+def test_digit_groups_with_zeros(formatter):
+    # The digits are written as a lead digit and four 4-digit groups, and
+    # trailing zeros are counted group by group: put 0000 in each group, one
+    # at a time and in every combination, after lead digits 1 and 9, with
+    # the other groups random or ending in zeros, across the exact range.
+    rng = np.random.default_rng(19)
+    values, masks = [], set()
+    for mask in range(16):
+        for lead in (1, 9):
+            groups = np.where(rng.random((40, 4)) < 0.5, rng.integers(1, 10_000, (40, 4)),
+                              rng.choice([10, 100, 1000, 9000], (40, 4)))
+            groups[:, [bool(mask >> g & 1) for g in range(4)]] = 0
+            digits = lead * 10**16 + groups @ np.array([10**12, 10**8, 10**4, 1])
+            for d, k in zip(digits.tolist(), rng.integers(-10, 25, 40).tolist()):
+                values.append(float(f"{d}e{k - 16}"))
+    values = with_neighbours(values, ulps=2)
+    for text in ["%.16e" % v for v in np.abs(values).tolist()]:
+        digits = text[0] + text[2:18]   # the 17 significant digits
+        masks.add((digits[0], tuple(digits[1 + 4 * g:5 + 4 * g] == "0000" for g in range(4))))
+    # Every combination of zero groups occurs after both lead digits.
+    assert len(masks & {(lead, tuple(bool(mask >> g & 1) for g in range(4)))
+                        for lead in "19" for mask in range(16)}) == 32
+    assert_formats_like_percent(formatter, values)
+
+
+def test_extreme_digits_at_every_exponent(formatter):
+    # 1 followed by 16 zeros and seventeen 9s, at each decimal exponent of
+    # the exact path's range and its neighbours.
+    values = [float(f"{d}e{k - 16}") for d in (10**16, 10**17 - 1) for k in range(-11, 26)]
+    assert_formats_like_percent(formatter, with_neighbours(values, ulps=2))

@@ -157,6 +157,52 @@ def test_report_writes_signed_zeros_of_free_rows(monkeypatch):
     assert "\n  -0 " in text and "\n  0 " in text
 
 
+ENTRIES = cli._ENTRIES
+
+
+def game_with_exhausted(exhausted, n, seed):
+    """A game whose exhausted set is exactly the lenders where `exhausted`
+    is True: their budgets lie in [1, 2), the others' are 1e6, and total
+    demand is 100 (m + 1), so the share never falls below 100."""
+    rng = np.random.default_rng(seed)
+    m = exhausted.size
+    budgets = np.where(exhausted, rng.uniform(1.0, 2.0, m), 1e6)
+    demands = rng.uniform(0.5, 100.0, n)
+    game = LendingGame(budgets, demands * 100.0 * (m + 1) / demands.sum(), 0.02, 0.08)
+    assert np.array_equal(solve_equilibrium(game).exhausted_set, np.flatnonzero(exhausted))
+    return game
+
+
+@pytest.mark.parametrize("n", [1, 2, ENTRIES // 7, ENTRIES - 1, ENTRIES, ENTRIES + 1])
+@pytest.mark.parametrize("pattern", ["first_exhausted_last_free", "first_free_last_exhausted",
+                                     "all_exhausted", "none_exhausted", "signed_zero_late"])
+def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
+    # Fresh rows (not the common row) are formatted _ENTRIES // n at a time,
+    # with the runs of common lines between them written in between: scatter
+    # the exhausted lenders so that blocks and runs start and end anywhere.
+    m = 60
+    exhausted = np.random.default_rng(n).random(m) < 0.5
+    if pattern == "first_exhausted_last_free":
+        exhausted[0], exhausted[-1] = True, False
+    elif pattern in ("first_free_last_exhausted", "signed_zero_late"):
+        exhausted[0], exhausted[-1] = False, True
+    else:
+        exhausted[:] = pattern == "all_exhausted"
+    game = game_with_exhausted(exhausted, n, seed=n)
+    if pattern == "signed_zero_late":
+        # A free row late in the report that differs from the common row
+        # only in the sign of a zero is a fresh row of a later block.
+        solved = eq.solve_equilibrium(game)
+        profile = solved.profile.copy()
+        profile[:, -1] = 0.0
+        late = np.flatnonzero(~exhausted)[-2]
+        profile[late, -1] = -0.0
+        crafted = dataclasses.replace(solved, profile=profile)
+        monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
+    text = assert_same_report(game)
+    assert text.count("\n  ") == m
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(-9, 12), m=st.integers(1, 8), n=st.integers(1, 2 * CHUNK + 3),
        seed=st.integers(0, 2**32 - 1))
