@@ -6,9 +6,11 @@ CLI flags override the block.  Trajectories are CSV with the columns
 `step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
 thinned profile snapshots.  Every float that `solve` and `dynamics` write
 is formatted with `%.17g` (17 significant digits, enough to read back the
-same double), so outputs are byte-stable and diff meaningfully.  The
-report's blocks of floats take an exactly rounded `%.17g` computed by
-array operations (_float_text), which writes the same bytes as `%`.
+same double), so outputs are byte-stable and diff meaningfully.  Every
+block of floats, in the report and in both trajectory files, goes through
+one exactly rounded `%.17g` computed by array operations (_float_text),
+with the same bytes as `%`; the integer columns go through it as exact
+floats, which read the same as `%d` below 2^53.
 `verify` runs the suite of lendgame.verify on one scenario or on K random
 games and prints its PASS/FAIL table; here it only loads or draws the
 instances.
@@ -26,7 +28,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -47,11 +48,7 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Trajectory rows per `%` in `export_trajectory`.
-_CHUNK = 64
-_TRAJECTORY_ROW = "%d,%.17g,%d,%.17g,%.17g\n"
-
-# `%.17g` by array operations, for the report's large blocks of floats.
+# `%.17g` by array operations, for every block of floats written.
 #
 # Digits.  For |x| in [1e-10, 1e25) let k = floor(log10 |x|).  The 17
 # significant digits are the integer nearest to n = |x| 10^(16-k), which
@@ -220,14 +217,14 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     return out8[_PREFIX[length + 1].view(bool)].tobytes()
 
 
-def _float_text(values: np.ndarray, n: int) -> bytes:
+def _float_text(values: np.ndarray, n: int, sep: str = " ") -> bytes:
     """The `%.17g` texts of a 1-D float array, n to a line: each followed
-    by a space, or by a newline if it ends a line.  Formatted _ENTRIES
-    floats at a time."""
+    by sep, or by a newline if it ends a line.  Formatted _ENTRIES floats
+    at a time."""
     parts = []
     for k in range(0, values.size, _ENTRIES):
         chunk = values[k:k + _ENTRIES]
-        seps = np.full(chunk.size, ord(" "), np.uint8)
+        seps = np.full(chunk.size, ord(sep), np.uint8)
         seps[(n - 1 - k) % n::n] = ord("\n")   # after values k + j with (k + j + 1) % n == 0
         parts.append(_format_chunk(chunk, seps))
     return b"".join(parts)
@@ -371,26 +368,27 @@ def cmd_solve(args) -> int:
 
 
 def export_trajectory(traj, path: str) -> None:
-    """Write the trajectory CSV and its snapshot side file.  Trajectory rows
-    are read from the arrays, formatted by one `%` and written a chunk of
-    _CHUNK rows at a time, so no more than a chunk of them is ever held as
-    Python objects or text; snapshot rows take one `%` each, with a template
-    built per file."""
+    """Write the trajectory CSV and its snapshot side file: tables of floats
+    that _float_text formats _ENTRIES // width rows at a time (at least
+    one), each block written before the next is formatted.  The integer
+    columns (steps, lenders) are exact floats, the same as `%d` below 2^53."""
     with open(path, "w") as fh:
         fh.write("step,time,lender_updated,potential,lyapunov_gap\n")
         columns = (traj.steps, traj.times, traj.lenders, traj.potentials, traj.lyapunov_gaps)
-        for k in range(0, traj.steps.size, _CHUNK):
-            rows = zip(*(column[k:k + _CHUNK].tolist() for column in columns))
-            chunk = tuple(chain.from_iterable(rows))
-            fh.write((_TRAJECTORY_ROW * (len(chunk) // 5)) % chunk)
+        rows = _ENTRIES // len(columns)
+        for k in range(0, traj.steps.size, rows):
+            block = np.column_stack([column[k:k + rows] for column in columns])
+            fh.write(_float_text(block.ravel(), len(columns), ",").decode())
     with open(path + ".profiles.csv", "w") as fh:
         if traj.snapshots:
             m, n = traj.snapshots[0][1].shape
             header = ["step"] + [f"s_{i}_{j}" for i in range(m) for j in range(n)]
             fh.write(",".join(header) + "\n")
-            row = "%d," + ",".join(("%.17g",) * (m * n)) + "\n"
-            for step, profile in traj.snapshots:
-                fh.write(row % (step, *profile.ravel().tolist()))
+            rows = max(1, _ENTRIES // (1 + m * n))
+            for k in range(0, len(traj.snapshots), rows):
+                steps, profiles = zip(*traj.snapshots[k:k + rows])
+                block = np.column_stack((steps, np.reshape(profiles, (len(steps), m * n))))
+                fh.write(_float_text(block.ravel(), 1 + m * n, ",").decode())
 
 
 def cmd_dynamics(args) -> int:

@@ -3,6 +3,7 @@ they replaced, kept here as references."""
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,20 +91,26 @@ def assert_same_report(game):
     return new.getvalue()
 
 
-CHUNK = cli._CHUNK
+ENTRIES = cli._ENTRIES
 SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, 1e-9, 1e12, 123456789.123456789, float("inf"),
             -float("inf"), float("nan")]
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,
-                                  3 * CHUNK + 7])
-@pytest.mark.parametrize("sep", [" "])
+@pytest.mark.parametrize("size", [0, 1, 2, 63, 64, 65, 128, 199, ENTRIES - 1, ENTRIES,
+                                  ENTRIES + 1, 2 * ENTRIES + 5])
+@pytest.mark.parametrize("sep", [" ", ","])
 def test_join_floats_matches_per_entry_join(size, sep):
+    # One line of `size` floats, within one chunk and across chunks of
+    # _ENTRIES floats: the separator goes between them and the newline after
+    # the last.
     rng = np.random.default_rng(size)
     values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
     values[::3] = rng.choice(SPECIALS, values[::3].size)
-    assert cli._join_floats(values) == sep.join(fmt(v) for v in values)
+    want = sep.join(fmt(v) for v in values)
+    assert cli._float_text(values, size, sep).decode() == (want + "\n" if size else "")
+    if sep == " ":
+        assert cli._join_floats(values) == want
 
 
 @pytest.mark.parametrize("budgets, demands, mbar", [
@@ -119,7 +126,7 @@ def test_report_matches_reference_by_exhausted_count(budgets, demands, mbar):
     assert_same_report(game)
 
 
-@pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 5])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 133])
 def test_report_matches_reference_across_chunk_sizes(n):
     # Total demand three quarters of total budget, as in solve-large.
     budgets = np.linspace(1.0, 100.0, 9)
@@ -155,9 +162,6 @@ def test_report_writes_signed_zeros_of_free_rows(monkeypatch):
     monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
     text = assert_same_report(game)
     assert "\n  -0 " in text and "\n  0 " in text
-
-
-ENTRIES = cli._ENTRIES
 
 
 def game_with_exhausted(exhausted, n, seed):
@@ -204,7 +208,7 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(-9, 12), m=st.integers(1, 8), n=st.integers(1, 2 * CHUNK + 3),
+@given(k=st.integers(-9, 12), m=st.integers(1, 8), n=st.integers(1, 131),
        seed=st.integers(0, 2**32 - 1))
 def test_report_matches_reference_across_magnitudes(k, m, n, seed):
     rng = np.random.default_rng(seed)
@@ -216,12 +220,20 @@ def test_report_matches_reference_across_magnitudes(k, m, n, seed):
 
 
 def assert_same_export(traj, tmp_path):
-    new, ref = str(tmp_path / "new.csv"), str(tmp_path / "ref.csv")
+    """The writer, the per-entry reference and the row-wise writer give the
+    same bytes; returns the texts of both files."""
+    new, ref, rowwise = (str(tmp_path / name) for name in ("new.csv", "ref.csv", "rowwise.csv"))
     cli.export_trajectory(traj, new)
     reference_export_trajectory(traj, ref)
+    rowwise_export_trajectory(traj, rowwise)
+    texts = []
     for suffix in ("", ".profiles.csv"):
-        with open(new + suffix, "rb") as a, open(ref + suffix, "rb") as b:
-            assert_same_text(a.read(), b.read())
+        with open(new + suffix, "rb") as a:
+            texts.append(a.read())
+        for other in (ref, rowwise):
+            with open(other + suffix, "rb") as b:
+                assert_same_text(texts[-1], b.read())
+    return texts
 
 
 @pytest.mark.parametrize("variant", ["eager", "randomised", "pseudo_gradient", "continuous"])
@@ -247,35 +259,88 @@ def test_export_matches_reference_on_extreme_values(tmp_path):
     assert_same_export(traj, tmp_path)
 
 
-@pytest.mark.parametrize("rows", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def random_floats(rng, shape):
+    """Floats of every magnitude, a third of them drawn from SPECIALS and
+    -0.0, the first one -0.0."""
+    values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    flat = values.reshape(-1)
+    flat[::3] = rng.choice(SPECIALS + [-0.0], flat[::3].size)
+    flat[0] = -0.0
+    return values
+
+
+def random_steps(rng, count):
+    """count sorted steps from 0 to 2^53 - 1, the largest integers whose
+    floats write the same as `%d`."""
+    steps = np.sort(rng.integers(0, 2**53, count))
+    steps[0], steps[-1] = 0, 2**53 - 1
+    return steps
+
+
+BLOCK = ENTRIES // 5   # trajectory rows per call of _float_text
+
+
+@pytest.mark.parametrize("rows", [1, 64, 65, 197, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (12, 12)])
 def test_chunked_export_matches_rowwise_writer(tmp_path, rows, m, n):
-    # Trajectory rows go out in chunks of CHUNK rows, so 1, CHUNK and
-    # CHUNK + 1 rows take a short, a full and a full plus a short chunk;
-    # a 12 x 12 snapshot row holds 144 floats, more than a chunk of
-    # _join_floats.  Every column gets signed zeros and the SPECIALS.
+    # Trajectory rows go out BLOCK rows to a call of _float_text, so up to
+    # BLOCK - 1 rows take one short block, BLOCK one full block and BLOCK + 1
+    # a full and a one-row block.  Steps run up to 2^53 - 1 and the lender
+    # column holds -1; every float column gets signed zeros and the SPECIALS.
     rng = np.random.default_rng(rows * 1000 + m * n)
-
-    def floats(shape):
-        values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
-        flat = values.reshape(-1)
-        flat[::3] = rng.choice(SPECIALS + [-0.0], flat[::3].size)
-        flat[0] = -0.0
-        return values
-
-    snapshots = [(step, floats((m, n))) for step in range(0, rows, 10)]
-    traj = Trajectory(steps=np.arange(rows), times=floats(rows),
-                      lenders=rng.integers(-1, m, rows), potentials=floats(rows),
-                      lyapunov_gaps=floats(rows), snapshots=snapshots,
-                      final_profile=snapshots[-1][1], status="converged")
-    new, ref, rowwise = (str(tmp_path / name) for name in ("new.csv", "ref.csv", "rowwise.csv"))
-    cli.export_trajectory(traj, new)
-    reference_export_trajectory(traj, ref)
-    rowwise_export_trajectory(traj, rowwise)
-    for suffix in ("", ".profiles.csv"):
-        with open(new + suffix, "rb") as a:
-            text = a.read()
-        for other in (ref, rowwise):
-            with open(other + suffix, "rb") as b:
-                assert_same_text(text, b.read())
+    steps = random_steps(rng, rows)
+    lenders = rng.integers(-1, m, rows)
+    lenders[0] = -1
+    snapshots = [(int(steps[k]), random_floats(rng, (m, n))) for k in range(0, rows, 10)]
+    traj = Trajectory(steps=steps, times=random_floats(rng, rows), lenders=lenders,
+                      potentials=random_floats(rng, rows), lyapunov_gaps=random_floats(rng, rows),
+                      snapshots=snapshots, final_profile=snapshots[-1][1], status="converged")
+    texts = assert_same_export(traj, tmp_path)
+    for text in texts:
         assert b",-0," in text or b",-0\n" in text
+    assert b"\n9007199254740991," in texts[0] and b",-1," in texts[0]
+
+
+def snapshot_cases():
+    # Snapshot rows go out max(1, _ENTRIES // (1 + m n)) to a call of
+    # _float_text: take one row less, as many, one more and several blocks.
+    # A 64 x 64 row holds 1 + 4,096 floats, so each row spans two chunks.
+    for m, n in [(1, 1), (3, 5), (64, 64)]:
+        per = max(1, ENTRIES // (1 + m * n))
+        for count in sorted({max(1, per - 1), per, per + 1, 3 * per + 1}):
+            yield m, n, count
+
+
+@pytest.mark.parametrize("m, n, count", list(snapshot_cases()))
+def test_snapshot_blocks_match_rowwise_writer(tmp_path, m, n, count):
+    rng = np.random.default_rng(count * 1000 + m * n)
+    snapshots = list(zip(random_steps(rng, count).tolist(), random_floats(rng, (count, m, n))))
+    traj = Trajectory(steps=np.arange(1), times=np.zeros(1), lenders=np.full(1, -1),
+                      potentials=np.zeros(1), lyapunov_gaps=np.zeros(1), snapshots=snapshots,
+                      final_profile=snapshots[-1][1], status="converged")
+    text = assert_same_export(traj, tmp_path)[1]
+    assert text.count(b"\n") == 1 + count
+    assert b"\n9007199254740991," in text and (b",-0," in text or b",-0\n" in text)
+
+
+def export_peak(rows, path):
+    """The traced peak of export_trajectory on a trajectory of `rows` rows
+    with a 3 x 4 snapshot every 10 steps, built before tracing."""
+    rng = np.random.default_rng(rows)
+    snapshots = [(step, rng.uniform(0.0, 1.0, (3, 4))) for step in range(0, rows, 10)]
+    traj = Trajectory(steps=np.arange(rows), times=rng.uniform(0.0, 1.0, rows),
+                      lenders=rng.integers(-1, 3, rows), potentials=rng.uniform(0.0, 1.0, rows),
+                      lyapunov_gaps=rng.uniform(0.0, 1.0, rows), snapshots=snapshots,
+                      final_profile=snapshots[-1][1], status="converged")
+    tracemalloc.start()
+    cli.export_trajectory(traj, path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_export_peak_does_not_grow_with_rows(tmp_path):
+    # Both tables are formatted and written a block at a time, so the
+    # memory the writer holds at once is a block's, whatever the length.
+    path = str(tmp_path / "t.csv")
+    assert export_peak(50_000, path) <= 1.1 * export_peak(2_000, path)
