@@ -464,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--horizon", type=float, default=None)
     p_dyn.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p_dyn.add_argument("--stop-gap", dest="stop_gap", type=float, default=None)
+    p_dyn.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
     p_dyn.add_argument("--seed", type=int, default=None)
     p_dyn.add_argument("--output", default=None)
     p_dyn.set_defaults(func=cmd_dynamics)

@@ -57,14 +57,27 @@ class ConfigError(ValueError):
 
 
 def pg_step_bound(game: LendingGame, pg_weights: np.ndarray | None = None) -> float:
-    """Largest stable step for the discretised pseudo-gradient dynamics.
+    """Step bound of the discretised pseudo-gradient dynamics:
+    1 / (rho * max w), with rho = span * (m + 1) / min_j d_j.
 
-    The pseudo-gradient Jacobian is constant with spectral radius at most
-    2 * (rate_max - rate_min) * (m + 1) / min_j d_j (times the largest
-    weight); the bound is its reciprocal.
+    The potential's Hessian is constant and block diagonal by column: column
+    j's m x m block is -(span / d_j)(I + 11^T), whose eigenvalues are
+    -span (m + 1) / d_j (along 1) and -span / d_j (m - 1 times).  So its
+    spectral radius, the gradient's Lipschitz constant, is exactly rho.  A
+    step moves lender i by h w_i along its gradient and projects each lender
+    onto its own budget set: in the metric sum_i |x_i|^2 / w_i that is
+    projected gradient ascent with step h, on a potential with Lipschitz
+    constant at most rho max w and strong concavity modulus at least
+    mu min w, mu = span / max_j d_j.  For h <= 1 / (rho max w) the descent
+    lemma makes every step raise the potential, and the gap contracts by at
+    least 1 - h mu min w per step (Beck, First-Order Methods in
+    Optimization, SIAM 2017, ch. 10).  The bound is 1 / rho, not the edge of
+    stability 2 / rho: that gap bound needs h <= 1 / rho, and at 2 / rho the
+    iteration is only marginally stable, since I + h H has the eigenvalue -1
+    and the error along its eigenvector never shrinks.
     """
     wmax = 1.0 if pg_weights is None else float(np.asarray(pg_weights, dtype=float).max())
-    return float(game.demands.min() / (2.0 * game.rate_span * (game.m + 1) * wmax))
+    return float(game.demands.min() / (game.rate_span * (game.m + 1) * wmax))
 
 
 def project_capped_simplex(v: np.ndarray, cap) -> np.ndarray:
@@ -85,7 +98,9 @@ def _field(default, rule: Rule):
 class DynamicsConfig:
     """Parameters of a dynamics run, each field with its row of FIELDS.  None
     takes a default from the game when the run starts: uniform
-    lender_weights, unit pg_weights and half the pg_step stability bound."""
+    lender_weights, unit pg_weights, pg_step at its bound pg_step_bound and
+    snapshot_every 10 while m n <= 500, ceil(m n / 50) above, so that
+    snapshots add about 50 floats per step or fewer."""
 
     variant: str = _field("eager", Rule(VARIANTS))
     alpha: float = _field(1.0, Rule(float, low=0.0, high=1.0))
@@ -96,7 +111,7 @@ class DynamicsConfig:
     horizon: float = _field(50.0, Rule(float, low=0.0))
     max_iters: int = _field(100_000, Rule(int, low=1))
     stop_gap: float = _field(1e-8, Rule(float, low=0.0))
-    snapshot_every: int = _field(10, Rule(int, low=1))
+    snapshot_every: int | None = _field(None, Rule(int, low=1, optional=True))
     seed: int = _field(0, Rule(int, low=0))
 
     def resolved(self, game: LendingGame) -> "DynamicsConfig":
@@ -127,10 +142,14 @@ class DynamicsConfig:
             raise ConfigError("lender_weights must be a distribution: they sum to "
                               f"{math.fsum(weights):.17g}, not 1")
         bound = pg_step_bound(game, pg_weights)
-        pg_step = cfg.pg_step if cfg.pg_step is not None else 0.5 * bound
+        pg_step = cfg.pg_step if cfg.pg_step is not None else bound
         if not 0 < pg_step <= bound:
             raise ConfigError(f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]")
-        return replace(cfg, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step)
+        snapshot_every = cfg.snapshot_every
+        if snapshot_every is None:
+            snapshot_every = 10 if game.m * game.n <= 500 else math.ceil(game.m * game.n / 50)
+        return replace(cfg, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step,
+                       snapshot_every=snapshot_every)
 
 
 FIELDS = {f.name: f.metadata["rule"] for f in fields(DynamicsConfig)}
@@ -267,7 +286,7 @@ def integrate_continuous(
     initial_profile: np.ndarray,
     ode_step: float = 0.01,
     horizon: float = 50.0,
-    snapshot_every: int = 10,
+    snapshot_every: int | None = None,
 ) -> Trajectory:
     """Integrate ds_i/dt = BR_i(s) - s_i with classical fixed-step RK4 up to
     the horizon: :func:`run` on the continuous variant, with the default

@@ -158,7 +158,9 @@ SCENARIO = {
 # run gives inf, NaN or a division by 0:
 # - the potential squares column sums, up to m * cash_scale, and the
 #   improvement bound divides by cash_scale^2;
-# - the gradient-ball radius and pg_step_bound divide by a = 2 rate_span / d_min;
+# - the gradient-ball radius divides by a = 2 rate_span / d_min, and
+#   dynamics.pg_step_bound and oracle.certificate_step are reciprocals of
+#   a (m + 1) / 2 and a (m + 1), times the largest pg weight for the former;
 # - the improvement bound squares potential gaps, in units of utility_scale
 #   and below 2 P: |Phi| <= P = a (m * cash_scale)^2 on feasible profiles, as
 #   the column sums add up to at most m c_max, so sum_j col_j^2 <= (m c_max)^2.

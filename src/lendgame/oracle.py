@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _capped_projection
-from .dynamics import BLOCK_FLOATS, pg_step_bound, project_capped_simplex
+from .dynamics import BLOCK_FLOATS, project_capped_simplex
 from .game import LendingGame, check_lender, potential, potential_gradient, validate_profile
 
 
@@ -37,7 +37,7 @@ def gradient_tol_for_profile_tol(game: LendingGame, profile_tol: float) -> float
     the returned profile is within roughly profile_tol of the maximiser.
 
     The tolerance applies to the oracle's certificate: one plain projected
-    gradient step at pg_step_bound(game) from the returned profile, divided
+    gradient step of certificate_step(game) from the returned profile, divided
     by that step.  The potential is strongly concave with modulus
     span / max_j d_j, so the distance to the optimum is at most about that
     map's norm divided by the modulus; a safety factor of 10 absorbs the
@@ -45,6 +45,15 @@ def gradient_tol_for_profile_tol(game: LendingGame, profile_tol: float) -> float
     """
     modulus = game.rate_span / float(game.demands.max())
     return 0.1 * profile_tol * modulus
+
+
+def certificate_step(game: LendingGame) -> float:
+    """Step of the oracle's plain projected-gradient certificate,
+    min_j d_j / (2 span (m + 1)): half the largest step 1 / rho at which
+    plain projected gradient ascent provably raises the potential (see
+    dynamics.pg_step_bound).  The oracle is a check on the dynamics, so it
+    keeps its own step rather than following theirs."""
+    return float(game.demands.min() / (2.0 * game.rate_span * (game.m + 1)))
 
 
 def _plain_step_norm(game: LendingGame, s: np.ndarray, step: float) -> float:
@@ -73,15 +82,15 @@ def projected_gradient_solve(
     against the step in that metric, (y - x_new) . D^-1 (x_new - x) > 0.
     Once the scaled step L_W (x_new - y) / d is at most tol in sup-norm, the
     new iterate is certified with one plain Euclidean projected-gradient step
-    at pg_step_bound(game): it is returned when that map's sup-norm is also
+    of certificate_step(game): it is returned when that map's sup-norm is also
     at most tol, otherwise the iteration goes on.  The potential is strictly
     concave, so the limit is the unique maximiser.  tol is raised to that
-    map's rounding level, eps * cash_scale / pg_step_bound(game), for the
+    map's rounding level, eps * cash_scale / certificate_step(game), for the
     stop, the certificate and `converged`.  `iterations` counts
     accelerated steps; on exhausting max_iters the partial solution is
     returned with converged=False.
     """
-    step = pg_step_bound(game)
+    step = certificate_step(game)
     # The plain-step map reads up to about eps * cash_scale / step at the
     # maximiser itself, from rounding, so no smaller tol can be certified.
     tol = max(tol, np.finfo(float).eps * game.cash_scale / step)

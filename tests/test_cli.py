@@ -87,6 +87,32 @@ def test_dynamics_converges(tmp_path, capsys):
     assert (tmp_path / "traj.csv.profiles.csv").exists()
 
 
+def test_dynamics_snapshot_every_flag(tmp_path, capsys):
+    path = write_scenario(tmp_path, TWO_LENDER)
+    out = tmp_path / "traj.csv"
+    assert main(["dynamics", path, "--variant", "continuous", "--max-iters", "10",
+                 "--snapshot-every", "3", "--output", str(out)]) == 4
+    rows = (tmp_path / "traj.csv.profiles.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "3", "6", "9"]
+
+
+def test_dynamics_snapshot_file_within_32_times_the_trajectory(tmp_path, capsys):
+    # CI's 50 x 90 smoke game.  By default a snapshot of its 4,500 floats is
+    # written every ceil(4,500 / 50) = 90 steps, about 50 floats per step
+    # against the trajectory's 5; at 17 digits that is about 20 times the
+    # trajectory's bytes.  A snapshot every 10 steps would make it 175 times
+    # (8.9 MB).
+    r = np.random.default_rng(20)
+    path = write_scenario(tmp_path, {"lenders": r.uniform(0.5, 100.0, 50).tolist(),
+                                     "borrowers": r.uniform(0.5, 100.0, 90).tolist(),
+                                     "rate_min": 0.02, "rate_max": 0.08})
+    out = tmp_path / "traj.csv"
+    assert main(["dynamics", path, "--variant", "pseudo-gradient", "--max-iters", "1000",
+                 "--output", str(out)]) == 4
+    snapshot_bytes = (tmp_path / "traj.csv.profiles.csv").stat().st_size
+    assert snapshot_bytes <= 32 * out.stat().st_size
+
+
 def test_dynamics_seeded_runs_byte_identical(tmp_path, capsys):
     path = write_scenario(tmp_path, {"lenders": [3.0, 4.0, 5.0], "borrowers": [6.0, 7.0],
                                      "rate_min": 0.02, "rate_max": 0.08})
@@ -286,10 +312,11 @@ def test_dynamics_block_checked_on_every_command_exits_2(tmp_path, capsys, comma
     (["dynamics", "SCENARIO", "--max-iters", "-5"], "max_iters"),
     (["dynamics", "SCENARIO", "--horizon", "-1"], "horizon"),
     (["dynamics", "SCENARIO", "--variant", "continuous", "--horizon", "0.004"], "horizon"),
+    (["dynamics", "SCENARIO", "--snapshot-every", "0"], "snapshot_every"),
 ], ids=["verify_negative_random", "verify_zero_max_m", "verify_zero_max_n",
         "verify_random_negative_seed", "verify_scenario_negative_seed",
         "dynamics_negative_max_iters", "dynamics_negative_horizon",
-        "dynamics_continuous_horizon_below_half_a_step"])
+        "dynamics_continuous_horizon_below_half_a_step", "dynamics_zero_snapshot_every"])
 def test_bad_flag_exits_2(tmp_path, argv, flag):
     path = write_scenario(tmp_path, TWO_LENDER)
     argv = [path if arg == "SCENARIO" else arg for arg in argv]

@@ -176,6 +176,88 @@ def test_pseudo_gradient_step_bound_enforced(two_lender_game):
         cfg.resolved(two_lender_game)
 
 
+def hessian_spectral_radius(game):
+    """Spectral radius of the potential's Hessian, from eigvalsh of the
+    explicit matrix.  The gradient is affine in the profile, so column k of
+    the Hessian is grad(e_k) - grad(0), e_k the k-th unit profile."""
+    base = potential_gradient(game, game.zero_profile()).ravel()
+    size = game.m * game.n
+    hessian = np.empty((size, size))
+    for k in range(size):
+        unit = np.zeros(size)
+        unit[k] = 1.0
+        hessian[:, k] = potential_gradient(game, unit.reshape(game.m, game.n)).ravel() - base
+    return float(np.abs(np.linalg.eigvalsh(hessian)).max())
+
+
+def test_pg_step_bound_is_the_reciprocal_spectral_radius():
+    # Column j's Hessian block is -(span / d_j)(I + 11^T), with eigenvalues
+    # -span (m + 1) / d_j and -span / d_j, so rho = span (m + 1) / min d and
+    # the bound is 1 / (rho max w), max w = 1 for unit weights.  The
+    # differences above are exact to about eps max d relative (grad(0) is
+    # span and grad(e_k) - grad(0) is span / d_j or 2 span / d_j), and
+    # eigvalsh adds a few eps.
+    rng = seeded_rng(50)
+    for _ in range(50):
+        g = random_game(rng, 8, 8)
+        rho = hessian_spectral_radius(g)
+        assert pg_step_bound(g) * rho == pytest.approx(1.0, abs=1e-12)
+        w = rng.uniform(0.1, 3.0, g.m)
+        assert pg_step_bound(g, w) * w.max() * rho == pytest.approx(1.0, abs=1e-12)
+
+
+def test_default_pg_step_is_the_bound_and_steps_below_it_are_accepted(two_lender_game):
+    bound = pg_step_bound(two_lender_game)
+    assert DynamicsConfig(variant="pseudo_gradient").resolved(two_lender_game).pg_step == bound
+    # 0.75 / rho lay above the bound 1 / (2 rho) of earlier releases.
+    cfg = DynamicsConfig(variant="pseudo_gradient", pg_step=0.75 * bound).resolved(two_lender_game)
+    assert cfg.pg_step == 0.75 * bound
+
+
+@pytest.mark.parametrize("m, n, every", [(1, 1, 10), (20, 25, 10), (1, 501, 11), (50, 90, 90),
+                                         (1000, 1000, 20000)])
+def test_default_snapshot_every_grows_with_the_game(m, n, every):
+    # 10 while m n <= 500, where every game of the benchmark lies, and
+    # ceil(m n / 50) above: about 50 snapshot floats per step.
+    g = LendingGame(np.ones(m), np.ones(n), 0.02, 0.08)
+    assert DynamicsConfig().resolved(g).snapshot_every == every
+    assert DynamicsConfig(snapshot_every=7).resolved(g).snapshot_every == 7
+
+
+def test_pseudo_gradient_at_the_default_step_meets_its_descent_and_rate_bounds():
+    # Projected gradient ascent with step h on a potential that is
+    # L-smooth and mu-strongly concave, in the metric sum_i |x_i|^2 / w_i
+    # where the weighted step is plain (L = rho max w, mu = span min w /
+    # max d, see pg_step_bound):
+    # - Descent.  The projection gives <grad, x+ - x> >= |x+ - x|^2 / h, and
+    #   smoothness gives phi(x+) >= phi(x) + <grad, x+ - x> - L |x+ - x|^2 / 2,
+    #   so phi(x+) - phi(x) >= (1 / h - L / 2) |x+ - x|^2 >= 0 for h <= 1 / L.
+    # - Rate.  The projected-gradient inequality with strong concavity gives,
+    #   for every feasible z, gap(x+) <= gap(z) + (1 / h - mu) |z - x|^2 / 2
+    #   (in gap form, with gap(x) = phi* - phi(x) and 1 / h >= L).  With
+    #   z = x + theta (x* - x), concavity bounds gap(z) by
+    #   (1 - theta) gap(x) - mu theta (1 - theta) |x - x*|^2 / 2; at
+    #   theta = h mu the |x - x*|^2 terms cancel, so
+    #   gap(x+) <= (1 - h mu) gap(x)  (Beck, First-Order Methods in
+    #   Optimization, SIAM 2017, ch. 10).
+    # Both hold at the default step h = 1 / L up to the rounding of the
+    # recorded potentials, at most floor = 64 m eps utility_scale here.
+    rng = seeded_rng(51)
+    eps = np.finfo(float).eps
+    for k in range(200):
+        g = random_game(rng, 12, 12)
+        w = rng.uniform(0.1, 3.0, g.m) if k % 2 else np.ones(g.m)
+        cfg = DynamicsConfig(variant="pseudo_gradient", pg_weights=w, max_iters=300,
+                             stop_gap=1e-300).resolved(g)
+        traj = run(g, random_profile(rng, g), cfg)
+        floor = 64 * g.m * eps * g.utility_scale
+        mu = g.rate_span / g.demands.max()
+        rate = 1.0 - cfg.pg_step * mu * w.min()
+        assert np.diff(traj.potentials).min() >= -floor
+        gaps = traj.lyapunov_gaps
+        assert np.all(gaps[1:] <= rate * gaps[:-1] + floor)
+
+
 def test_config_validation(two_lender_game):
     with pytest.raises(ValueError, match="alpha"):
         DynamicsConfig(alpha=0.0).resolved(two_lender_game)

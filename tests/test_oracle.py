@@ -13,9 +13,9 @@ from lendgame import (
 )
 from lendgame import oracle
 from lendgame.best_response import _capped_projection
-from lendgame.dynamics import BLOCK_FLOATS, pg_step_bound, project_capped_simplex
+from lendgame.dynamics import BLOCK_FLOATS, project_capped_simplex
 from lendgame.game import potential_gradient
-from lendgame.oracle import gradient_tol_for_profile_tol, random_game, random_profile
+from lendgame.oracle import certificate_step, gradient_tol_for_profile_tol, random_game, random_profile
 
 from conftest import seeded_rng
 
@@ -52,8 +52,8 @@ def _ill_conditioned_game():
 
 
 def _plain_step_move(g, profile):
-    """Sup-norm move of one plain projected-gradient step at pg_step_bound."""
-    step = pg_step_bound(g)
+    """Sup-norm move of one plain projected-gradient step of the certificate."""
+    step = certificate_step(g)
     plain = project_capped_simplex(profile + step * potential_gradient(g, profile), g.budgets)
     return float(np.abs(plain - profile).max()), step
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lendgame import DynamicsConfig, LendingGame, run, solve_equilibrium
+from lendgame import DynamicsConfig, LendingGame, pg_step_bound, run, solve_equilibrium
 from lendgame import cli
 from lendgame import equilibrium as eq
 from lendgame.dynamics import Trajectory
@@ -241,8 +241,10 @@ def assert_same_export(traj, tmp_path):
 def test_export_matches_reference_for_every_variant(tmp_path, variant, m, n):
     rng = np.random.default_rng(m * n)
     game = LendingGame(rng.uniform(0.5, 100.0, m), rng.uniform(0.5, 100.0, n), 0.02, 0.08)
+    # A quarter of the pseudo-gradient step bound: at the bound itself the
+    # 2 x 1 run converges in 6 steps, before its second snapshot.
     config = DynamicsConfig(variant=variant, alpha=0.3, max_iters=60, snapshot_every=7,
-                            seed=3, ode_step=0.1, horizon=5.0)
+                            seed=3, ode_step=0.1, horizon=5.0, pg_step=0.25 * pg_step_bound(game))
     traj = run(game, game.zero_profile(), config)
     assert len(traj.snapshots) > 1
     assert_same_export(traj, tmp_path)
