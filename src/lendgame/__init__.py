@@ -19,7 +19,6 @@ from .equilibrium import (
     certify,
     compute_threshold_index,
     kkt_check,
-    market_rate,
     rate_spread,
     solve_equilibrium,
 )
@@ -44,7 +43,6 @@ from .oracle import (
     OracleSolution,
     concavity_gap,
     finite_difference_gradient,
-    grid_best_response,
     hessian_quadratic_form,
     jacobian_quadratic_form,
     projected_gradient_solve,

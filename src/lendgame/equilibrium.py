@@ -65,11 +65,6 @@ def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
     return k, perm
 
 
-def market_rate(game: LendingGame) -> float:
-    """Common equilibrium interest rate offered by every borrower."""
-    return solve_equilibrium(game).market_rate
-
-
 def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
     """Unique pure Nash equilibrium in O(mn + m log m).
 

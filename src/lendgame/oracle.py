@@ -4,11 +4,11 @@ Nothing here reuses the closed-form equilibrium: the potential maximiser
 (accelerated projected gradient, FISTA with adaptive restart in the metric
 sum_ij x_ij^2 / d_j, where the potential's condition number is m + 1 for any
 demands; its answer is certified by one plain Euclidean projected-gradient
-step), the finite-difference gradient, the exhaustive grid best response and
-the closed-form concavity/Jacobian identities each provide a second route to
-a quantity the production code computes directly.  The maximiser's
-projection is the weighted capped-simplex kernel that the best responses
-use, with weights d in place of d / 2.
+step), the finite-difference gradient and the closed-form
+concavity/Jacobian identities each provide a second route to a quantity the
+production code computes directly.  The maximiser's projection is the
+weighted capped-simplex kernel that the best responses use, with weights d
+in place of d / 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .best_response import _capped_projection
 from .dynamics import BLOCK_FLOATS, project_capped_simplex
-from .game import LendingGame, check_lender, potential, potential_gradient, validate_profile
+from .game import LendingGame, potential, potential_gradient, validate_profile
 
 
 @dataclass(frozen=True)
@@ -228,51 +228,3 @@ def random_profile(rng: np.random.Generator, game: LendingGame) -> np.ndarray:
     s = rng.uniform(0.0, 1.0, size=(game.m, game.n))
     scale = rng.uniform(0.0, 1.0, size=game.m) * game.budgets / s.sum(axis=1)
     return s * scale[:, None]
-
-
-def grid_best_response(
-    game: LendingGame,
-    profile: np.ndarray,
-    i: int,
-    grid_step: float = 1e-3,
-) -> np.ndarray:
-    """Exhaustive grid-search best response for lender i (n <= 3 only).
-
-    Every coordinate and the budget are restricted to multiples of
-    grid_step; the grid optimum is found by exact dynamic programming over
-    the discrete allocations, which enumerates the same set of candidates as
-    brute force.
-    """
-    if game.n > 3:
-        raise ValueError("grid oracle is limited to n <= 3")
-    check_lender(game, i)
-    s = np.asarray(profile, dtype=float)
-    residual = s.sum(axis=0) - s[i]
-    budget = float(game.budgets[i])
-    k_max = int(np.floor(budget / grid_step + 1e-12))
-    amounts = np.arange(k_max + 1) * grid_step
-    # Per-borrower payoff on the grid (rate-span factor dropped: positive).
-    payoff = [amounts * (game.demands[j] - residual[j] - amounts) / game.demands[j] for j in range(game.n)]
-
-    best = payoff[0].copy()          # best value using exactly k units so far
-    choices = [np.arange(k_max + 1)]
-    for j in range(1, game.n):
-        new_best = np.full(k_max + 1, -np.inf)
-        choice = np.zeros(k_max + 1, dtype=int)
-        for k in range(k_max + 1):   # units given to borrower j
-            cand = np.full(k_max + 1, -np.inf)
-            cand[k:] = best[: k_max + 1 - k] + payoff[j][k]
-            better = cand > new_best
-            new_best[better] = cand[better]
-            choice[better] = k
-        best = new_best
-        choices.append(choice)
-
-    total = int(np.argmax(best))
-    x = np.zeros(game.n)
-    for j in range(game.n - 1, 0, -1):
-        k = int(choices[j][total])
-        x[j] = k * grid_step
-        total -= k
-    x[0] = total * grid_step
-    return x

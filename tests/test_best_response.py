@@ -14,7 +14,8 @@ from lendgame import (
     utility,
 )
 from lendgame.best_response import _capped_projection
-from lendgame.oracle import grid_best_response, random_game, random_profile
+from lendgame.game import check_lender
+from lendgame.oracle import random_game, random_profile
 
 from conftest import seeded_rng
 
@@ -108,6 +109,54 @@ def test_monotone_in_residual_supply():
         others = np.arange(g.n) != j
         if x.sum() >= g.budgets[i] - 1e-9:
             assert np.all(x2[others] >= x[others] - 1e-10)
+
+
+def grid_best_response(
+    game: LendingGame,
+    profile: np.ndarray,
+    i: int,
+    grid_step: float = 1e-3,
+) -> np.ndarray:
+    """Exhaustive grid-search best response for lender i (n <= 3 only).
+
+    Every coordinate and the budget are restricted to multiples of
+    grid_step; the grid optimum is found by exact dynamic programming over
+    the discrete allocations, which enumerates the same set of candidates as
+    brute force.
+    """
+    if game.n > 3:
+        raise ValueError("grid oracle is limited to n <= 3")
+    check_lender(game, i)
+    s = np.asarray(profile, dtype=float)
+    residual = s.sum(axis=0) - s[i]
+    budget = float(game.budgets[i])
+    k_max = int(np.floor(budget / grid_step + 1e-12))
+    amounts = np.arange(k_max + 1) * grid_step
+    # Per-borrower payoff on the grid (rate-span factor dropped: positive).
+    payoff = [amounts * (game.demands[j] - residual[j] - amounts) / game.demands[j] for j in range(game.n)]
+
+    best = payoff[0].copy()          # best value using exactly k units so far
+    choices = [np.arange(k_max + 1)]
+    for j in range(1, game.n):
+        new_best = np.full(k_max + 1, -np.inf)
+        choice = np.zeros(k_max + 1, dtype=int)
+        for k in range(k_max + 1):   # units given to borrower j
+            cand = np.full(k_max + 1, -np.inf)
+            cand[k:] = best[: k_max + 1 - k] + payoff[j][k]
+            better = cand > new_best
+            new_best[better] = cand[better]
+            choice[better] = k
+        best = new_best
+        choices.append(choice)
+
+    total = int(np.argmax(best))
+    x = np.zeros(game.n)
+    for j in range(game.n - 1, 0, -1):
+        k = int(choices[j][total])
+        x[j] = k * grid_step
+        total -= k
+    x[0] = total * grid_step
+    return x
 
 
 def test_grid_oracle_one_dim():

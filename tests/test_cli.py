@@ -329,6 +329,30 @@ def test_bad_flag_exits_2(tmp_path, argv, flag):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_dynamics_flags_are_the_scalar_rows_of_fields(capsys):
+    # Each scalar row of FIELDS is one flag that parses to the row's kind,
+    # and --variant takes the row's choices spelt with hyphens.  The array
+    # rows have no flag, and --output is the only other option.
+    from lendgame import cli
+    from lendgame.dynamics import FIELDS, VARIANTS
+    parser = cli.build_parser()
+    scalar = {name: rule.kind for name, rule in FIELDS.items() if not rule.ndim}
+    argv = ["dynamics", "s.json"]
+    for name, kind in scalar.items():
+        argv += ["--" + name.replace("_", "-"), "continuous" if kind is VARIANTS else "1"]
+    args = vars(parser.parse_args(argv))
+    assert set(args) - {"command", "scenario", "output", "func"} == set(scalar)
+    for name, kind in scalar.items():
+        assert (args[name] == "continuous" if kind is VARIANTS
+                else type(args[name]) is kind and args[name] == 1)
+    for variant in VARIANTS:
+        flag = variant.replace("_", "-")
+        assert parser.parse_args(["dynamics", "s.json", "--variant", flag]).variant == flag
+    with pytest.raises(SystemExit):
+        parser.parse_args(["dynamics", "s.json", "--variant", "pseudo_gradient"])
+    assert "--variant" in capsys.readouterr().err
+
+
 def test_main_builds_parser_once(tmp_path, monkeypatch, capsys):
     # Repeated calls in one process, bad flags among them, exit and print as
     # a fresh process does, and the parser is built on the first call only.

@@ -10,7 +10,6 @@ from lendgame import (
     compute_threshold_index,
     interest_rates,
     kkt_check,
-    market_rate,
     rate_spread,
     solve_equilibrium,
 )
@@ -61,13 +60,12 @@ def test_market_rate_matches_realised_rates():
         res = solve_equilibrium(g)
         rates = interest_rates(g, res.profile)
         assert np.abs(rates - res.market_rate).max() < 1e-12
-        assert market_rate(g) == pytest.approx(res.market_rate, abs=1e-15)
 
 
 def test_market_rate_large_market_limit():
     m = 100
     g = LendingGame(np.full(m, 1000.0), [10.0], 0.02, 0.08)
-    assert market_rate(g) == pytest.approx(0.02 + 0.06 / (m + 1), abs=1e-15)
+    assert solve_equilibrium(g).market_rate == pytest.approx(0.02 + 0.06 / (m + 1), abs=1e-15)
 
 
 def test_exhausted_lenders_spend_budget():

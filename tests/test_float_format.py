@@ -1,4 +1,4 @@
-"""The report's vectorised `%.17g` (cli._float_text) against `%` itself,
+"""The vectorised `%.17g` of fmt17.float_text against `%` itself,
 on the values where its exact-rounding argument is tight or does not
 apply, with and without the long-double path."""
 
@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from lendgame import cli
+from lendgame import cli, fmt17
 
 
 def float_texts(values):
-    """The texts of cli._float_text, one per line."""
-    return cli._float_text(values, 1).split(b"\n")[:-1]
+    """The texts of fmt17.float_text, one per line."""
+    return fmt17.float_text(values, 1).split(b"\n")[:-1]
 
 
 @pytest.fixture(params=["native", "no_long_double"])
@@ -21,7 +21,7 @@ def formatter(request, monkeypatch):
     """float_texts as it runs here, and with the long-double path off, as
     on a platform whose long double has fewer than 64 bits."""
     if request.param == "no_long_double":
-        monkeypatch.setattr(cli, "_EXACT", False)
+        monkeypatch.setattr(fmt17, "_EXACT", False)
     return float_texts
 
 
@@ -143,7 +143,7 @@ def test_common_line_peak_does_not_grow_with_rows():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
-@pytest.mark.parametrize("size", [0, 1, 6, 7, cli._ENTRIES, cli._ENTRIES + 1, 2 * cli._ENTRIES + 5])
+@pytest.mark.parametrize("size", [0, 1, 6, 7, fmt17._ENTRIES, fmt17._ENTRIES + 1, 2 * fmt17._ENTRIES + 5])
 def test_lines_of_n_across_chunks(n, size):
     # A line may span chunks of _ENTRIES floats; each float is followed by
     # a newline if it ends a line of n, else by a space.
@@ -151,7 +151,7 @@ def test_lines_of_n_across_chunks(n, size):
     values[::5] = 0.0
     texts = [b"%.17g" % v for v in values.tolist()]
     want = b"".join(t + (b"\n" if (i + 1) % n == 0 else b" ") for i, t in enumerate(texts))
-    assert cli._float_text(values, n) == want
+    assert fmt17.float_text(values, n) == want
 
 
 def test_digit_groups_with_zeros(formatter):

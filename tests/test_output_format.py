@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lendgame import DynamicsConfig, LendingGame, pg_step_bound, run, solve_equilibrium
-from lendgame import cli
+from lendgame import cli, fmt17
 from lendgame import equilibrium as eq
 from lendgame.dynamics import Trajectory
 
@@ -74,24 +74,39 @@ def rowwise_export_trajectory(traj, path):
 
 
 def assert_same_text(new, ref):
-    # Line by line: on a failure pytest shows the first line that differs,
-    # where a diff of the whole text would take minutes.
-    for new_line, ref_line in zip(new.splitlines(), ref.splitlines()):
-        assert new_line == ref_line
-    assert new == ref
+    # On a failure, line by line: pytest then shows the first line that
+    # differs, where a diff of the whole text would take minutes.
+    if new != ref:
+        for new_line, ref_line in zip(new.splitlines(), ref.splitlines()):
+            assert new_line == ref_line
+        assert new == ref
 
 
-def assert_same_report(game):
-    """Both writers give the same report for a game; returns its text."""
+def long_double_paths(monkeypatch):
+    """Yields with the long-double path as it runs here and, given
+    monkeypatch, again with it off, as on a platform whose long double has
+    fewer than 64 bits.  Then every text comes from `%`, and a writer's own
+    bytes are its separators, newlines and blocks of rows."""
+    yield
+    if monkeypatch is not None:
+        monkeypatch.setattr(fmt17, "_EXACT", False)
+        yield
+
+
+def assert_same_report(game, monkeypatch=None):
+    """Both writers give the same report for a game, on each of
+    long_double_paths(monkeypatch); returns its text."""
     scenario = cli.Scenario(game=game, initial_profile=None, dynamics=DynamicsConfig())
-    new, ref = io.StringIO(), io.StringIO()
-    cli.write_equilibrium_report(scenario, new)
+    ref = io.StringIO()
     reference_write_equilibrium_report(scenario, ref)
-    assert_same_text(new.getvalue(), ref.getvalue())
-    return new.getvalue()
+    for _ in long_double_paths(monkeypatch):
+        new = io.StringIO()
+        cli.write_equilibrium_report(scenario, new)
+        assert_same_text(new.getvalue(), ref.getvalue())
+    return ref.getvalue()
 
 
-ENTRIES = cli._ENTRIES
+ENTRIES = fmt17._ENTRIES
 SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
             1.7976931348623157e308, 1e-9, 1e12, 123456789.123456789, float("inf"),
             -float("inf"), float("nan")]
@@ -108,9 +123,9 @@ def test_join_floats_matches_per_entry_join(size, sep):
     values = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
     values[::3] = rng.choice(SPECIALS, values[::3].size)
     want = sep.join(fmt(v) for v in values)
-    assert cli._float_text(values, size, sep).decode() == (want + "\n" if size else "")
+    assert fmt17.float_text(values, size, sep).decode() == (want + "\n" if size else "")
     if sep == " ":
-        assert cli._join_floats(values) == want
+        assert fmt17.join_floats(values) == want
 
 
 @pytest.mark.parametrize("budgets, demands, mbar", [
@@ -181,7 +196,7 @@ def game_with_exhausted(exhausted, n, seed):
 @pytest.mark.parametrize("pattern", ["first_exhausted_last_free", "first_free_last_exhausted",
                                      "all_exhausted", "none_exhausted", "signed_zero_late"])
 def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
-    # Fresh rows (not the common row) are formatted _ENTRIES // n at a time,
+    # Fresh rows (not the common row) are formatted ENTRIES // n at a time,
     # with the runs of common lines between them written in between: scatter
     # the exhausted lenders so that blocks and runs start and end anywhere.
     m = 60
@@ -203,7 +218,7 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
         profile[late, -1] = -0.0
         crafted = dataclasses.replace(solved, profile=profile)
         monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
-    text = assert_same_report(game)
+    text = assert_same_report(game, monkeypatch)
     assert text.count("\n  ") == m
 
 
@@ -219,20 +234,22 @@ def test_report_matches_reference_across_magnitudes(k, m, n, seed):
     assert_same_report(game)
 
 
-def assert_same_export(traj, tmp_path):
+def assert_same_export(traj, tmp_path, monkeypatch=None):
     """The writer, the per-entry reference and the row-wise writer give the
-    same bytes; returns the texts of both files."""
+    same bytes, on each of long_double_paths(monkeypatch); returns the texts
+    of both files."""
     new, ref, rowwise = (str(tmp_path / name) for name in ("new.csv", "ref.csv", "rowwise.csv"))
-    cli.export_trajectory(traj, new)
     reference_export_trajectory(traj, ref)
     rowwise_export_trajectory(traj, rowwise)
-    texts = []
-    for suffix in ("", ".profiles.csv"):
-        with open(new + suffix, "rb") as a:
-            texts.append(a.read())
-        for other in (ref, rowwise):
-            with open(other + suffix, "rb") as b:
-                assert_same_text(texts[-1], b.read())
+    for _ in long_double_paths(monkeypatch):
+        cli.export_trajectory(traj, new)
+        texts = []
+        for suffix in ("", ".profiles.csv"):
+            with open(new + suffix, "rb") as a:
+                texts.append(a.read())
+            for other in (ref, rowwise):
+                with open(other + suffix, "rb") as b:
+                    assert_same_text(texts[-1], b.read())
     return texts
 
 
@@ -279,13 +296,13 @@ def random_steps(rng, count):
     return steps
 
 
-BLOCK = ENTRIES // 5   # trajectory rows per call of _float_text
+BLOCK = ENTRIES // 5   # trajectory rows per call of float_text
 
 
 @pytest.mark.parametrize("rows", [1, 64, 65, 197, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (12, 12)])
-def test_chunked_export_matches_rowwise_writer(tmp_path, rows, m, n):
-    # Trajectory rows go out BLOCK rows to a call of _float_text, so up to
+def test_chunked_export_matches_rowwise_writer(tmp_path, monkeypatch, rows, m, n):
+    # Trajectory rows go out BLOCK rows to a call of float_text, so up to
     # BLOCK - 1 rows take one short block, BLOCK one full block and BLOCK + 1
     # a full and a one-row block.  Steps run up to 2^53 - 1 and the lender
     # column holds -1; every float column gets signed zeros and the SPECIALS.
@@ -297,15 +314,15 @@ def test_chunked_export_matches_rowwise_writer(tmp_path, rows, m, n):
     traj = Trajectory(steps=steps, times=random_floats(rng, rows), lenders=lenders,
                       potentials=random_floats(rng, rows), lyapunov_gaps=random_floats(rng, rows),
                       snapshots=snapshots, final_profile=snapshots[-1][1], status="converged")
-    texts = assert_same_export(traj, tmp_path)
+    texts = assert_same_export(traj, tmp_path, monkeypatch)
     for text in texts:
         assert b",-0," in text or b",-0\n" in text
     assert b"\n9007199254740991," in texts[0] and b",-1," in texts[0]
 
 
 def snapshot_cases():
-    # Snapshot rows go out max(1, _ENTRIES // (1 + m n)) to a call of
-    # _float_text: take one row less, as many, one more and several blocks.
+    # Snapshot rows go out max(1, ENTRIES // (1 + m n)) to a call of
+    # float_text: take one row less, as many, one more and several blocks.
     # A 64 x 64 row holds 1 + 4,096 floats, so each row spans two chunks.
     for m, n in [(1, 1), (3, 5), (64, 64)]:
         per = max(1, ENTRIES // (1 + m * n))
@@ -314,13 +331,13 @@ def snapshot_cases():
 
 
 @pytest.mark.parametrize("m, n, count", list(snapshot_cases()))
-def test_snapshot_blocks_match_rowwise_writer(tmp_path, m, n, count):
+def test_snapshot_blocks_match_rowwise_writer(tmp_path, monkeypatch, m, n, count):
     rng = np.random.default_rng(count * 1000 + m * n)
     snapshots = list(zip(random_steps(rng, count).tolist(), random_floats(rng, (count, m, n))))
     traj = Trajectory(steps=np.arange(1), times=np.zeros(1), lenders=np.full(1, -1),
                       potentials=np.zeros(1), lyapunov_gaps=np.zeros(1), snapshots=snapshots,
                       final_profile=snapshots[-1][1], status="converged")
-    text = assert_same_export(traj, tmp_path)[1]
+    text = assert_same_export(traj, tmp_path, monkeypatch)[1]
     assert text.count(b"\n") == 1 + count
     assert b"\n9007199254740991," in text and (b",-0," in text or b",-0\n" in text)
 
