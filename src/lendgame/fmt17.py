@@ -21,38 +21,33 @@ def fmt(x: float) -> str:
 
 # `%.17g` by array operations, for every block of floats written.
 #
-# Digits.  For |x| in [1e-10, 1e25) let k = floor(log10 |x|).  The 17
-# significant digits are the integer nearest to n = |x| 10^(16-k), which
-# lies in [1e16, 1e17).  n' is n computed in long double as one product
-# |x| 10^p, or one quotient |x| / 10^-p when p = 16 - k < 0.  With a
-# 64-bit significand, 10^|p| is exact for |p| <= 27 (5^27 < 2^63), so n'
-# carries one rounding: |n' - n| <= half an ulp of n' <= 2^-8, as
-# n' < 2^57.  Rounding to nearest is monotone, and every half-integer
-# below 2^63 is a long double, so n' lies on the same side as n of every
-# half-integer, unless n' is one.  Hence where the fraction of n' is not
-# 1/2, the integer nearest n' is the integer nearest n, and the digits
-# are exactly rounded.  log10 can put k one off near a power of ten; a
-# floor of n' outside [1e16, 1e17) shows it, and n' is computed again with
-# k corrected.  These go through `%` itself: a fraction of exactly 1/2; a
-# floor still outside the range; digits that round up to 1e17, which no
-# double in the range has (n would lie within 5e-18 relative of 1e17, but
-# the largest double below 10^j, for j from -9 to 25, lies at least 1.6e-17
-# relative below it); 0, subnormals, inf, nan and anything else outside
-# [1e-10, 1e25); and every value where long double has fewer than 64 bits
-# (_EXACT false).
+# Digits.  For |x| in [1e-10, 1e15) let k = floor(log10 |x|) and p = 16 - k.
+# The 17 significant digits are the integer nearest to n = |x| 10^p, in
+# [1e16, 1e17), with a tie to even as `%` rounds it.  With |x| = M 2^e,
+# M < 2^53 an integer, n = M 5^p 2^-s for s = -(e + p).  Here p lies in [1, 27]
+# and s in [1, 60], so 5^p < 2^63 and M 5^p < 2^116: four products of 32-bit
+# limbs give it exactly in uint64, and shifts and masks split it into n's
+# integer part and the rest, M 5^p mod 2^s, which decides the rounding.  So
+# the digits are exactly rounded, ties included, as in Ryu printf (Adams,
+# OOPSLA 2019), with a table of 5^p alone.  log10 can put k one off near a
+# power of ten; an integer part outside [1e16, 1e17) shows it, and the
+# chunk's n is computed again with k corrected.  No digits round up to 1e17:
+# n would lie within 5e-18 relative of 1e17, but the largest double below
+# 10^j, for j from -9 to 15, lies at least 1.6e-17 relative below it.  `%`
+# formats the rest: 0, subnormals, inf, nan and every other |x| outside
+# [1e-10, 1e15).  (Above 1e15 x can be an integer, s <= 0, and from 1e17 n
+# needs a division by 10^-p.)
 #
 # Text.  `%g` writes fixed notation for -4 <= k < 17, else d.ddde+XX, and
-# strips trailing zeros.  A window of the digit string, padded with '0's
-# on the left and taken at an offset that depends on k, puts the integer
-# digits left of a fixed column and the fraction right of it; a second
-# window starts at the sign or the first digit.  Windows are fancy-indexed
-# views whose items overlap (see _bytes_view), so each moves every row by
-# its own offset in one copy.
-_EXACT = np.finfo(np.longdouble).nmant >= 63
+# strips trailing zeros; here k <= 14, so an exponent is negative.  A
+# window of the digit string, padded with '0's on the left and taken at an
+# offset that depends on k, puts the integer digits left of a fixed column
+# and the fraction right of it; a second window starts at the sign or the
+# first digit.  Windows are fancy-indexed views whose items overlap (see
+# _bytes_view), so each moves every row by its own offset in one copy.
 _ENTRIES = 2 ** 12   # floats per call of _format_chunk
-_K_LO = -11          # k before correction lies in [-11, 25]
-_MUL = np.array([np.longdouble(10) ** max(16 - k, 0) for k in range(_K_LO, 26)])
-_DIV = np.array([np.longdouble(10) ** max(k - 16, 0) for k in range(_K_LO, 26)])
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)   # 5^p for p = 16 - k
+_LOW = np.uint64(2 ** 32 - 1)
 _G = np.arange(10_000, dtype=np.uint32)
 # Each 4-digit group 0000..9999 as 4 ASCII bytes in a uint32, and its
 # trailing zeros (4 for 0000).
@@ -75,37 +70,36 @@ def _bytes_view(buf: np.ndarray, dtype: str, offset: int, stride: int) -> np.nda
     return np.ndarray(((buf.nbytes - offset - size) // stride + 1,), dtype, buf, offset, (stride,))
 
 
-def _scale(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """a 10^(16 - k) for long doubles a, with one rounding."""
-    i = k - _K_LO
-    n = _MUL[i]
-    n *= a
-    big = np.flatnonzero(k > 16)
-    n[big] /= _DIV[i[big]]
-    return n
-
-
 def _decimal(values: np.ndarray):
-    """(digits, k, exact): the 17 significant digits of |values| as integers
-    in [1e16, 1e17), their decimal exponents, and where they are exactly
-    rounded (see above); digits and k are meaningless elsewhere."""
+    """(digits, k, fast): the 17 significant digits of |values| as integers
+    in [1e16, 1e17), their decimal exponents, and where they hold, |values|
+    in [1e-10, 1e15) (see above); digits and k are meaningless elsewhere."""
     x = np.abs(values)
-    exact = (x >= 1e-10) & (x < 1e25) & _EXACT
-    x[~exact] = 1.0
+    fast = (x >= 1e-10) & (x < 1e15)
+    x[~fast] = 1.0
+    bits = x.view(np.uint64)
+    m = (bits & (2 ** 52 - 1)) | 2 ** 52
+    ml, mh = m & _LOW, m >> 32
+    e = (bits >> 52).astype(np.intp) - 1075
     k = np.floor(np.log10(x)).astype(np.intp)
-    a = x.astype(np.longdouble)
-    n = _scale(a, k)
-    floor = n.astype(np.uint64)
-    shift = (floor >= 10 ** 17).astype(np.int8) - (floor < 10 ** 16)
-    off = np.flatnonzero(shift)
-    k[off] += shift[off]
-    n[off] = _scale(a[off], k[off])
-    floor[off] = n[off].astype(np.uint64)
-    n -= floor
-    frac = n.astype(np.float64)   # exact: a multiple of 2^-10
-    digits = floor + (frac > 0.5)
-    exact &= (frac != 0.5) & (floor >= 10 ** 16) & (digits < 10 ** 17)
-    return digits, k, exact
+    while True:   # a second time where log10 put some k one off
+        p = 16 - k
+        s = (-(e + p)).astype(np.uint64)
+        f = _POW5[p]
+        # m f = hi 2^64 + lo, from m = mh 2^32 + ml and f = fh 2^32 + fl.
+        fl, fh = f & _LOW, f >> 32
+        low, mid = ml * fl, ml * fh + mh * fl
+        carry = (low >> 32) + (mid & _LOW)
+        lo = (carry << 32) | (low & _LOW)
+        hi = mh * fh + (mid >> 32) + (carry >> 32)
+        n = (hi << (64 - s)) | (lo >> s)   # the integer part
+        shift = (n >= 10 ** 17).astype(np.intp) - (n < 10 ** 16)
+        if not shift.any():
+            break
+        k += shift
+    # n rounds up where the rest, lo mod 2^s, is above half, or half and n odd.
+    half = np.uint64(1) << (s - 1)
+    return n + ((lo & (2 * half - 1)) + (n & 1) > half), k, fast
 
 
 def _digit_rows(digits: np.ndarray):
@@ -145,13 +139,13 @@ def _digit_rows(digits: np.ndarray):
 def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     """The `%.17g` texts of values, each followed by its separator."""
     count = values.size
-    digits, k, exact = _decimal(values)
+    digits, k, fast = _decimal(values)
     rows, sig = _digit_rows(digits)
     # Fixed notation puts the point at column 18 of a text row and the
     # digit of 10^j at column 17 - j, or 18 - j for j < 0; column 0 leaves
     # room for the sign of a 17-digit integer.  Exponent notation takes the
     # layout of k = 0.
-    expo = (k < -4) | (k > 16)
+    expo = k < -4
     kf = np.where(expo, 0, k)
     at = np.arange(count) * _WIDTH + kf + 4
     text = np.empty((count + 1, _WIDTH), np.uint8)
@@ -163,22 +157,22 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     end = np.where(sig - kf >= 2, 18 + sig - kf, 18)   # no bare point
     base = np.arange(count) * _WIDTH
     flat = text.reshape(-1)
-    neg = np.flatnonzero(np.signbit(values) & exact)
+    neg = np.flatnonzero(np.signbit(values) & fast)
     start[neg] -= 1
     flat[base[neg] + start[neg]] = ord("-")
-    e = np.flatnonzero(expo & exact)
+    e = np.flatnonzero(expo & fast)
     if e.size:
-        pos, ke = base[e] + end[e], k[e]
+        pos, ke = base[e] + end[e], -k[e]   # e-05 to e-10
         flat[pos] = ord("e")
-        flat[pos + 1] = np.where(ke < 0, ord("-"), ord("+"))
-        flat[pos + 2] = 48 + np.abs(ke) // 10
-        flat[pos + 3] = 48 + np.abs(ke) % 10
+        flat[pos + 1] = ord("-")
+        flat[pos + 2] = 48 + ke // 10
+        flat[pos + 3] = 48 + ke % 10
         end[e] += 4
     # Each text and its separator, from the sign or first digit on.
     out = _bytes_view(text, f"V{_OUT}", 0, 1)[base + start]
     del text
     length = end - start
-    slow = np.flatnonzero(~exact)
+    slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [b"%.17g" % v for v in values[slow].tolist()]
         out[slow] = np.array(texts, f"S{_OUT}").view(f"V{_OUT}")

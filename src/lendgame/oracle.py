@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _capped_projection
-from .dynamics import BLOCK_FLOATS, project_capped_simplex
+from .dynamics import BLOCK_FLOATS
 from .game import LendingGame, potential, potential_gradient, validate_profile
 
 
@@ -58,7 +58,7 @@ def certificate_step(game: LendingGame) -> float:
 
 def _plain_step_norm(game: LendingGame, s: np.ndarray, step: float) -> float:
     """Sup-norm of the projected-gradient map at s for the given step."""
-    nxt = project_capped_simplex(s + step * potential_gradient(game, s), game.budgets)
+    nxt = _capped_projection(s + step * potential_gradient(game, s), game.budgets)
     return float(np.abs(nxt - s).max() / step)
 
 

@@ -1,6 +1,7 @@
 """The vectorised `%.17g` of fmt17.float_text against `%` itself,
 on the values where its exact-rounding argument is tight or does not
-apply, with and without the long-double path."""
+apply: exact ties, powers of ten, the edges of the array path's range
+[1e-10, 1e15), and the values outside it, which `%` formats."""
 
 import tracemalloc
 import warnings
@@ -16,12 +17,10 @@ def float_texts(values):
     return fmt17.float_text(values, 1).split(b"\n")[:-1]
 
 
-@pytest.fixture(params=["native", "no_long_double"])
-def formatter(request, monkeypatch):
-    """float_texts as it runs here, and with the long-double path off, as
-    on a platform whose long double has fewer than 64 bits."""
-    if request.param == "no_long_double":
-        monkeypatch.setattr(fmt17, "_EXACT", False)
+@pytest.fixture(params=["native"])
+def formatter():
+    """float_texts on the platform that runs the tests (id `native`); the
+    digits are integer arithmetic, the same on every platform."""
     return float_texts
 
 
@@ -60,7 +59,8 @@ def test_random_bit_patterns(formatter, random_bit_patterns):
 
 
 def test_report_magnitudes(formatter):
-    # The range of the exact path, [1e-10, 1e25), and a decade either side.
+    # The array path's range, [1e-10, 1e15), the decade below it and the
+    # ten above it, which `%` formats.
     rng = np.random.default_rng(3)
     values = rng.uniform(1.0, 10.0, 300_000) * 10.0 ** rng.integers(-11, 26, 300_000)
     assert_formats_like_percent(formatter, values * rng.choice([-1.0, 1.0], values.size))
@@ -72,14 +72,52 @@ def test_powers_of_ten_and_neighbours(formatter):
 
 
 def test_exact_ties(formatter):
-    # I + 0.25 and I + 0.75 have 18 significant digits ending in 5: n is a
-    # tie, which long double cannot tell from a value next to it.
-    # Above 2^51 a quarter is below the float's spacing, and the sums round.
+    # For I in [1e13, 9e13), I + j/16 with j odd has 18 significant digits
+    # ending in 5: its 17 digits are a tie, which the array path rounds to
+    # even.  I + 0.25 and I + 0.75 for I in [1e15, 9e15) are ties above
+    # that path's range, which `%` formats; above 2^51 a quarter is below
+    # the float's spacing, and the sums round.
     rng = np.random.default_rng(5)
     whole = rng.integers(10**15, 9 * 10**15, 100_000).astype(np.float64)
     values = np.concatenate([whole + 0.25, whole + 0.75])
     assert (values % 1.0 != 0.0).sum() > 20_000
+    whole = rng.integers(10**13, 9 * 10**13, 100_000)
+    sixteenths = whole + rng.integers(0, 8, 100_000) / 8 + 1 / 16
+    values = np.concatenate([values, sixteenths])
     assert_formats_like_percent(formatter, np.concatenate([values, -values]))
+
+
+def test_every_value_in_range_takes_the_array_path():
+    # The array path's digits are exact, ties included, so every finite
+    # |x| in [1e-10, 1e15) takes it, with the digits and exponent of
+    # `%.16e`.  t 2^-a for odd t is t 5^a 10^-a: a tie where t 5^a has 18
+    # digits, in each decade from 1e-8 to 1e14.  I + 1/4, 1/2 and 3/4 are
+    # exact below 2^50.  M 2^e whose n lies within 2^-8 of a half-integer
+    # is a value that n computed with one rounding, as in a 64-bit long
+    # double, could put on that half-integer.
+    rng = np.random.default_rng(29)
+    ties = []
+    for a in range(3, 26):
+        t = rng.integers(-(-10**17 // 5**a), 10**18 // 5**a, 2_000) | 1
+        ties.append(t * 2.0 ** -a)
+    whole = rng.integers(1, 10**15 - 1, 20_000).astype(np.float64)
+    quarters = [whole + 0.25, whole + 0.5, whole + 0.75]
+    near = rng.integers(2**52, 2**53, 300_000) * 2.0 ** rng.integers(-86, -3, 300_000)
+    near = near[(near >= 1e-10) & (near < 1e15)]
+    halves = []
+    for x, text in zip(near.tolist(), ["%.16e" % x for x in near.tolist()]):
+        num, den = x.as_integer_ratio()
+        scaled = num * 10 ** (16 - int(text[19:]))   # n = scaled / den, den = 2^s
+        if abs(2 * (scaled % den) - den) * 2**7 < den:
+            halves.append(x)
+    assert len(halves) > 1_000
+    values = np.concatenate(ties + quarters + [halves])
+    assert ((values >= 1e-10) & (values < 1e15)).all()
+    digits, k, fast = fmt17._decimal(values)
+    assert fast.all()
+    texts = ["%.16e" % v for v in values.tolist()]
+    assert k.tolist() == [int(t[19:]) for t in texts]
+    assert digits.tolist() == [int(t[0] + t[2:18]) for t in texts]
 
 
 def test_values_that_round_up_to_a_power_of_ten(formatter):
@@ -87,7 +125,8 @@ def test_values_that_round_up_to_a_power_of_ten(formatter):
     values = [1e-305, 1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129, 1e153, 1e220]
     assert all(("%.17g" % v).startswith("1e") for v in values)
     assert_formats_like_percent(formatter, values)
-    # The largest doubles below each power of ten in the exact path's range.
+    # The largest doubles below each power of ten from 1e-10 to 1e25: in
+    # the array path's range, [1e-10, 1e15), and above it.
     below = np.nextafter(np.array([float(f"1e{j}") for j in range(-10, 26)]), 0.0)
     assert_formats_like_percent(formatter, with_neighbours(below, ulps=1))
 
@@ -96,8 +135,8 @@ def test_zeros_subnormals_and_non_finite(formatter):
     tiny = np.finfo(np.float64).smallest_subnormal
     values = [0.0, -0.0, tiny, -tiny, 2 * tiny, 1e-320, np.finfo(np.float64).smallest_normal,
               np.nextafter(np.finfo(np.float64).smallest_normal, 0.0), np.finfo(np.float64).max,
-              np.inf, -np.inf, np.nan, 1e-10, np.nextafter(1e-10, 0.0), 1e25,
-              np.nextafter(1e25, 0.0)]
+              np.inf, -np.inf, np.nan, 1e-10, np.nextafter(1e-10, 0.0), 1e15,
+              np.nextafter(1e15, 0.0), 1e25, np.nextafter(1e25, 0.0)]
     assert_formats_like_percent(formatter, values)
     assert formatter(np.zeros(0)) == []
 
@@ -158,7 +197,8 @@ def test_digit_groups_with_zeros(formatter):
     # The digits are written as a lead digit and four 4-digit groups, and
     # trailing zeros are counted group by group: put 0000 in each group, one
     # at a time and in every combination, after lead digits 1 and 9, with
-    # the other groups random or ending in zeros, across the exact range.
+    # the other groups random or ending in zeros, from 1e-10 to 1e25: in the
+    # array path's range, [1e-10, 1e15), and above it.
     rng = np.random.default_rng(19)
     values, masks = [], set()
     for mask in range(16):
@@ -180,7 +220,8 @@ def test_digit_groups_with_zeros(formatter):
 
 
 def test_extreme_digits_at_every_exponent(formatter):
-    # 1 followed by 16 zeros and seventeen 9s, at each decimal exponent of
-    # the exact path's range and its neighbours.
+    # 1 followed by 16 zeros and seventeen 9s, at each decimal exponent
+    # from -11 to 25: those of the array path's range, [1e-10, 1e15), and
+    # of its neighbours, which `%` formats.
     values = [float(f"{d}e{k - 16}") for d in (10**16, 10**17 - 1) for k in range(-11, 26)]
     assert_formats_like_percent(formatter, with_neighbours(values, ulps=2))

@@ -82,27 +82,13 @@ def assert_same_text(new, ref):
         assert new == ref
 
 
-def long_double_paths(monkeypatch):
-    """Yields with the long-double path as it runs here and, given
-    monkeypatch, again with it off, as on a platform whose long double has
-    fewer than 64 bits.  Then every text comes from `%`, and a writer's own
-    bytes are its separators, newlines and blocks of rows."""
-    yield
-    if monkeypatch is not None:
-        monkeypatch.setattr(fmt17, "_EXACT", False)
-        yield
-
-
-def assert_same_report(game, monkeypatch=None):
-    """Both writers give the same report for a game, on each of
-    long_double_paths(monkeypatch); returns its text."""
+def assert_same_report(game):
+    """Both writers give the same report for a game; returns its text."""
     scenario = cli.Scenario(game=game, initial_profile=None, dynamics=DynamicsConfig())
-    ref = io.StringIO()
+    ref, new = io.StringIO(), io.StringIO()
     reference_write_equilibrium_report(scenario, ref)
-    for _ in long_double_paths(monkeypatch):
-        new = io.StringIO()
-        cli.write_equilibrium_report(scenario, new)
-        assert_same_text(new.getvalue(), ref.getvalue())
+    cli.write_equilibrium_report(scenario, new)
+    assert_same_text(new.getvalue(), ref.getvalue())
     return ref.getvalue()
 
 
@@ -194,7 +180,8 @@ def game_with_exhausted(exhausted, n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, ENTRIES // 7, ENTRIES - 1, ENTRIES, ENTRIES + 1])
 @pytest.mark.parametrize("pattern", ["first_exhausted_last_free", "first_free_last_exhausted",
-                                     "all_exhausted", "none_exhausted", "signed_zero_late"])
+                                     "all_exhausted", "none_exhausted", "signed_zero_late",
+                                     "out_of_range"])
 def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
     # Fresh rows (not the common row) are formatted ENTRIES // n at a time,
     # with the runs of common lines between them written in between: scatter
@@ -203,22 +190,29 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
     exhausted = np.random.default_rng(n).random(m) < 0.5
     if pattern == "first_exhausted_last_free":
         exhausted[0], exhausted[-1] = True, False
-    elif pattern in ("first_free_last_exhausted", "signed_zero_late"):
+    elif pattern in ("first_free_last_exhausted", "signed_zero_late", "out_of_range"):
         exhausted[0], exhausted[-1] = False, True
     else:
         exhausted[:] = pattern == "all_exhausted"
     game = game_with_exhausted(exhausted, n, seed=n)
+    solved = eq.solve_equilibrium(game)
+    profile = solved.profile.copy()
     if pattern == "signed_zero_late":
         # A free row late in the report that differs from the common row
         # only in the sign of a zero is a fresh row of a later block.
-        solved = eq.solve_equilibrium(game)
-        profile = solved.profile.copy()
         profile[:, -1] = 0.0
         late = np.flatnonzero(~exhausted)[-2]
         profile[late, -1] = -0.0
-        crafted = dataclasses.replace(solved, profile=profile)
-        monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
-    text = assert_same_report(game, monkeypatch)
+    elif pattern == "out_of_range":
+        # Every profile entry outside the array path's [1e-10, 1e15), so
+        # that `%` writes each text between the writer's own separators,
+        # newlines and blocks: -0.0, subnormals and magnitudes above 1e20.
+        # Equal entries stay equal, and so do the common rows.
+        profile = np.where(profile > 1.0, profile * 1e20, profile * 1e-310)
+        profile[:, 0] = -0.0
+    crafted = dataclasses.replace(solved, profile=profile)
+    monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
+    text = assert_same_report(game)
     assert text.count("\n  ") == m
 
 
@@ -234,22 +228,20 @@ def test_report_matches_reference_across_magnitudes(k, m, n, seed):
     assert_same_report(game)
 
 
-def assert_same_export(traj, tmp_path, monkeypatch=None):
+def assert_same_export(traj, tmp_path):
     """The writer, the per-entry reference and the row-wise writer give the
-    same bytes, on each of long_double_paths(monkeypatch); returns the texts
-    of both files."""
+    same bytes; returns the texts of both files."""
     new, ref, rowwise = (str(tmp_path / name) for name in ("new.csv", "ref.csv", "rowwise.csv"))
     reference_export_trajectory(traj, ref)
     rowwise_export_trajectory(traj, rowwise)
-    for _ in long_double_paths(monkeypatch):
-        cli.export_trajectory(traj, new)
-        texts = []
-        for suffix in ("", ".profiles.csv"):
-            with open(new + suffix, "rb") as a:
-                texts.append(a.read())
-            for other in (ref, rowwise):
-                with open(other + suffix, "rb") as b:
-                    assert_same_text(texts[-1], b.read())
+    cli.export_trajectory(traj, new)
+    texts = []
+    for suffix in ("", ".profiles.csv"):
+        with open(new + suffix, "rb") as a:
+            texts.append(a.read())
+        for other in (ref, rowwise):
+            with open(other + suffix, "rb") as b:
+                assert_same_text(texts[-1], b.read())
     return texts
 
 
@@ -288,6 +280,18 @@ def random_floats(rng, shape):
     return values
 
 
+def out_of_range_floats(rng, shape):
+    """Floats that `%` formats, all outside the array path's [1e-10, 1e15):
+    zeros, subnormals and magnitudes from 1e-300 to 1e301, the first one
+    -0.0."""
+    values = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape)
+              * 10.0 ** rng.choice([-300, -20, 20, 300], shape))
+    flat = values.reshape(-1)
+    flat[::3] = rng.choice([0.0, -0.0, 5e-324, -5e-324], flat[::3].size)
+    flat[0] = -0.0
+    return values
+
+
 def random_steps(rng, count):
     """count sorted steps from 0 to 2^53 - 1, the largest integers whose
     floats write the same as `%d`."""
@@ -301,23 +305,25 @@ BLOCK = ENTRIES // 5   # trajectory rows per call of float_text
 
 @pytest.mark.parametrize("rows", [1, 64, 65, 197, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (12, 12)])
-def test_chunked_export_matches_rowwise_writer(tmp_path, monkeypatch, rows, m, n):
+def test_chunked_export_matches_rowwise_writer(tmp_path, rows, m, n):
     # Trajectory rows go out BLOCK rows to a call of float_text, so up to
     # BLOCK - 1 rows take one short block, BLOCK one full block and BLOCK + 1
     # a full and a one-row block.  Steps run up to 2^53 - 1 and the lender
-    # column holds -1; every float column gets signed zeros and the SPECIALS.
+    # column holds -1; every float column gets signed zeros and the SPECIALS,
+    # and then floats that `%` formats, each one.
     rng = np.random.default_rng(rows * 1000 + m * n)
-    steps = random_steps(rng, rows)
-    lenders = rng.integers(-1, m, rows)
-    lenders[0] = -1
-    snapshots = [(int(steps[k]), random_floats(rng, (m, n))) for k in range(0, rows, 10)]
-    traj = Trajectory(steps=steps, times=random_floats(rng, rows), lenders=lenders,
-                      potentials=random_floats(rng, rows), lyapunov_gaps=random_floats(rng, rows),
-                      snapshots=snapshots, final_profile=snapshots[-1][1], status="converged")
-    texts = assert_same_export(traj, tmp_path, monkeypatch)
-    for text in texts:
-        assert b",-0," in text or b",-0\n" in text
-    assert b"\n9007199254740991," in texts[0] and b",-1," in texts[0]
+    for floats in (random_floats, out_of_range_floats):
+        steps = random_steps(rng, rows)
+        lenders = rng.integers(-1, m, rows)
+        lenders[0] = -1
+        snapshots = [(int(steps[k]), floats(rng, (m, n))) for k in range(0, rows, 10)]
+        traj = Trajectory(steps=steps, times=floats(rng, rows), lenders=lenders,
+                          potentials=floats(rng, rows), lyapunov_gaps=floats(rng, rows),
+                          snapshots=snapshots, final_profile=snapshots[-1][1], status="converged")
+        texts = assert_same_export(traj, tmp_path)
+        for text in texts:
+            assert b",-0," in text or b",-0\n" in text
+        assert b"\n9007199254740991," in texts[0] and b",-1," in texts[0]
 
 
 def snapshot_cases():
@@ -331,15 +337,17 @@ def snapshot_cases():
 
 
 @pytest.mark.parametrize("m, n, count", list(snapshot_cases()))
-def test_snapshot_blocks_match_rowwise_writer(tmp_path, monkeypatch, m, n, count):
+def test_snapshot_blocks_match_rowwise_writer(tmp_path, m, n, count):
+    # Floats of every magnitude, and then floats that `%` formats, each one.
     rng = np.random.default_rng(count * 1000 + m * n)
-    snapshots = list(zip(random_steps(rng, count).tolist(), random_floats(rng, (count, m, n))))
-    traj = Trajectory(steps=np.arange(1), times=np.zeros(1), lenders=np.full(1, -1),
-                      potentials=np.zeros(1), lyapunov_gaps=np.zeros(1), snapshots=snapshots,
-                      final_profile=snapshots[-1][1], status="converged")
-    text = assert_same_export(traj, tmp_path, monkeypatch)[1]
-    assert text.count(b"\n") == 1 + count
-    assert b"\n9007199254740991," in text and (b",-0," in text or b",-0\n" in text)
+    for floats in (random_floats, out_of_range_floats):
+        snapshots = list(zip(random_steps(rng, count).tolist(), floats(rng, (count, m, n))))
+        traj = Trajectory(steps=np.arange(1), times=np.zeros(1), lenders=np.full(1, -1),
+                          potentials=np.zeros(1), lyapunov_gaps=np.zeros(1), snapshots=snapshots,
+                          final_profile=snapshots[-1][1], status="converged")
+        text = assert_same_export(traj, tmp_path)[1]
+        assert text.count(b"\n") == 1 + count
+        assert b"\n9007199254740991," in text and (b",-0," in text or b",-0\n" in text)
 
 
 def export_peak(rows, path):
