@@ -1,8 +1,9 @@
 """Command-line surface: solve / dynamics / verify.
 
-A scenario is a JSON object checked by the tables game.SCENARIO and
-game.SCALES, and its `dynamics` block by dynamics.FIELDS on every command;
-CLI flags override the block.  Trajectories are CSV with the columns
+A scenario is a JSON object: LendingGame checks its game (game.GAME, then
+game.SCALES), game.SCENARIO the keys it adds and dynamics.FIELDS the fields
+its `dynamics` block gives, on every command; CLI flags override the block.
+Trajectories are CSV with the columns
 `step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
 thinned profile snapshots.  Every number that `solve` and `dynamics` write
 is formatted by lendgame.fmt17 (`%.17g`, byte-stable); this module holds
@@ -50,15 +51,17 @@ class Scenario:
 
 def parse_scenario(data: dict) -> Scenario:
     """Build and fully validate a scenario, its `dynamics` block included;
-    raises ValueError naming the key or field, or the violated invariant."""
+    raises ValueError naming the key or field, or the violated invariant.
+    Each value is checked once; the block's defaults are the program's own."""
+    game = gm.LendingGame(*map(data.get, gm.GAME))
     values = gm.check(gm.SCENARIO, data)
-    game = gm.LendingGame(values["lenders"], values["borrowers"], values["rate_min"], values["rate_max"])
     profile = values.get("initial_profile")
     if profile is not None:
         profile = gm.validate_profile(game, profile)
+    block = values.get("dynamics", {})
     try:
-        dynamics = DynamicsConfig(**values.get("dynamics", {}))
-        gm.check(FIELDS, vars(dynamics))
+        dynamics = DynamicsConfig(**block)
+        gm.check({key: rule for key, rule in FIELDS.items() if key in block}, block)
     except (TypeError, ValueError) as exc:   # TypeError: a key that is no field
         raise ValueError(f"invalid dynamics configuration: {exc}") from None
     return Scenario(game=game, initial_profile=profile, dynamics=dynamics)
@@ -224,9 +227,9 @@ def cmd_verify(args) -> int:
         rng = np.random.Generator(np.random.Philox(args.seed))
         instances = [(scenario.game, rng, scenario.initial_profile)]
     else:
-        # Per-instance seeds come from spawning the master seed sequence.
-        rngs = (np.random.Generator(np.random.Philox(child))
-                for child in np.random.SeedSequence(args.seed).spawn(args.random))
+        # Per-instance seeds: the master seed sequence's children, one at a time.
+        seeds = np.random.SeedSequence(args.seed)
+        rngs = (np.random.Generator(np.random.Philox(seeds.spawn(1)[0])) for _ in range(args.random))
         instances = ((orc.random_game(rng, args.max_m, args.max_n), rng, None) for rng in rngs)
     table, failure = verify(instances, indexed=args.scenario is None)
     for line in table:

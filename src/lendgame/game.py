@@ -61,14 +61,12 @@ class Rule:
 def check(rules: dict[str, Rule], data: dict, error: type[ValueError] = ValueError) -> dict:
     """The entries of data that have rows in rules and are not null, each
     converted by its row: the one checker of every input table.  Raises
-    error naming the first key that is missing or breaks its row."""
+    error naming the first key that breaks its row; a missing key is null."""
     out = {}
     for key, rule in rules.items():
         value = data.get(key)
         if value is None and rule.optional:
             continue
-        if key not in data:
-            raise error(f"missing required key {key!r}")
         x = real(value, rule.ndim) if rule.kind is float else value
         if rule.kind is float:
             ok = x is not None and bool(np.logical_and(x > rule.low, x <= rule.high).all())
@@ -93,7 +91,7 @@ class LendingGame:
 
     def __post_init__(self):
         fields = ("budgets", "demands", "rate_min", "rate_max")
-        values = check(SCENARIO, dict(zip(SCENARIO, map(self.__getattribute__, fields))))
+        values = check(GAME, dict(zip(GAME, map(self.__getattribute__, fields))))
         if not 0 < values["rate_min"] < values["rate_max"]:
             raise ValueError("rate corridor invariant violated: need 0 < rate_min < rate_max")
         for field, value in zip(fields, values.values()):
@@ -142,18 +140,22 @@ class LendingGame:
         return np.zeros((self.m, self.n))
 
 
-# The scenario's keys; `description` is free text.  The first four rows are
-# LendingGame's fields, in order; parse_scenario reads the rest.
-SCENARIO = {
+# The game's inputs: LendingGame's fields, in order, under their scenario
+# keys.  Read by LendingGame alone, which keeps the values as checked.
+GAME = {
     "lenders": Rule(float, 1, low=0.0, what="lender budgets"),
     "borrowers": Rule(float, 1, low=0.0, what="borrower demands"),
     "rate_min": Rule(float, what="deposit facility rate"),
     "rate_max": Rule(float, what="marginal lending facility rate"),
+}
+
+# The keys a scenario adds to GAME's; `description` is free text.
+SCENARIO = {
     "initial_profile": Rule(float, 2, optional=True),
     "dynamics": Rule(dict, optional=True),
 }
 
-# Derived rows of the scenario table, read by LendingGame.  The code squares
+# Derived rows of the game table, read by LendingGame.  The code squares
 # or divides by these scales, so each must be a finite, normal float, or a
 # run gives inf, NaN or a division by 0:
 # - the potential squares column sums, up to m * cash_scale, and the
@@ -259,12 +261,13 @@ def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
     return float(((rates - game.rate_min) * s).sum())
 
 
-def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
-    """Gradient of the potential: entry (i, j) is
-    (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1).  Computed in
-    the one array it returns, which callers may reuse."""
+def potential_gradient(game: LendingGame, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Gradient of the potential in the lenders `rows` (all, or a slice):
+    entry (i, j) is (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1),
+    the column sums over the whole profile.  Computed in the one array it
+    returns, which callers may reuse."""
     s = np.asarray(profile, dtype=float)
-    grad = s + np.add.reduce(s, axis=0)
+    grad = s[rows] + np.add.reduce(s, axis=0)
     grad /= game.demands
     grad -= 1.0
     grad *= game.rate_min - game.rate_max

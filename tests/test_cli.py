@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from lendgame import game as gm
 from lendgame.cli import load_scenario, main, parse_scenario
-from lendgame.verify import gradient_ball_radius
+from lendgame.oracle import random_game
+from lendgame.verify import gradient_ball_radius, verify
 from lendgame import DynamicsConfig, LendingGame, potential_gradient
 
 
@@ -406,6 +408,68 @@ def test_verify_random_passes(capsys):
 
 def test_verify_random_zero_is_vacuous(capsys):
     assert main(["verify", "--random", "0"]) == 0
+
+
+def test_verify_random_spawns_one_seed_per_instance(monkeypatch, capsys):
+    # K instances hold one child seed at a time, not K built up front; the
+    # children, and so the table, are those of one spawn(K).
+    children = np.random.SeedSequence(11).spawn(3)
+    rngs = [np.random.Generator(np.random.Philox(child)) for child in children]
+    table, failure = verify(((random_game(rng, 4, 4), rng, None) for rng in rngs), indexed=True)
+    assert failure is None
+    spawned = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(super().spawn(n_children))
+            return spawned[-1]
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    assert main(["verify", "--random", "3", "--max-m", "4", "--max-n", "4", "--seed", "11"]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in table)
+    assert [len(batch) for batch in spawned] == [1, 1, 1]
+    assert [batch[0].spawn_key for batch in spawned] == [child.spawn_key for child in children]
+
+
+@pytest.mark.parametrize("extra, rows, reals", [
+    ({}, 4 + 2, 4),
+    ({"initial_profile": [[0.5], [1.0]], "dynamics": {"variant": "eager", "alpha": 0.5}}, 4 + 2 + 2, 4 + 1 + 1),
+], ids=["game_only", "profile_and_dynamics"])
+def test_parse_scenario_checks_each_value_once(monkeypatch, extra, rows, reals):
+    # LendingGame checks the game's four values, SCENARIO the two keys a
+    # scenario adds, and the dynamics block only the fields it gives; the
+    # defaults are the program's own (test_dynamics checks them).  Counted:
+    # the rows game.check is given and the calls of game.real.
+    counts = {"rows": 0, "real": 0}
+    check, real = gm.check, gm.real
+
+    def counting_check(rules, data, *args):
+        counts["rows"] += len(rules)
+        return check(rules, data, *args)
+
+    def counting_real(*args):
+        counts["real"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gm, "check", counting_check)
+    monkeypatch.setattr(gm, "real", counting_real)
+    parse_scenario({**TWO_LENDER, **extra})
+    assert counts == {"rows": rows, "real": reals}
+
+
+@pytest.mark.parametrize("command", ["solve", "dynamics", "verify"])
+@pytest.mark.parametrize("key", ["lenders", "borrowers", "rate_min", "rate_max"])
+@pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+def test_game_key_absent_or_null_exits_2(tmp_path, capsys, command, key, absent):
+    # An absent key reads as null, and LendingGame's row names it.
+    scenario = {k: v for k, v in TWO_LENDER.items() if k != key} if absent else {**TWO_LENDER, key: None}
+    path = write_scenario(tmp_path, scenario)
+    argv = [command, path] + (["--output", str(tmp_path / "t.csv")] if command == "dynamics" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed scenario: {key!r} must be ") and err.endswith(", got None\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_gradient_ball_radius_exact_counterexample():

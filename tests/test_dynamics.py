@@ -23,7 +23,8 @@ from lendgame import (
     step_randomised,
     validate_profile,
 )
-from lendgame.dynamics import ConfigError, _lender_draw
+from lendgame.dynamics import FIELDS, ConfigError, _lender_draw
+from lendgame.game import check
 from lendgame.oracle import random_game, random_profile
 
 from conftest import seeded_rng
@@ -212,6 +213,13 @@ def test_default_pg_step_is_the_bound_and_steps_below_it_are_accepted(two_lender
     # 0.75 / rho lay above the bound 1 / (2 rho) of earlier releases.
     cfg = DynamicsConfig(variant="pseudo_gradient", pg_step=0.75 * bound).resolved(two_lender_game)
     assert cfg.pg_step == 0.75 * bound
+
+
+def test_defaults_meet_their_rows():
+    # A scenario's dynamics block is checked only in the fields it gives, so
+    # every default must meet its own row of FIELDS.
+    defaults = vars(DynamicsConfig())
+    assert check(FIELDS, defaults) == {key: value for key, value in defaults.items() if value is not None}
 
 
 @pytest.mark.parametrize("m, n, every", [(1, 1, 10), (20, 25, 10), (1, 501, 11), (50, 90, 90),

@@ -13,6 +13,7 @@ from lendgame import (
     rate_spread,
     solve_equilibrium,
 )
+from lendgame import equilibrium
 from lendgame.oracle import random_game
 
 from conftest import seeded_rng
@@ -159,6 +160,29 @@ def test_kkt_residuals_match_reference_bits(m, n):
                      got.slackness_residual)
         want = reference_kkt_residuals(g, s, mu_b, mu_n)
         assert [r.hex() for r in residuals] == [r.hex() for r in want]
+
+
+@pytest.mark.parametrize("block_floats", [1, 64, 1000])
+def test_kkt_residuals_in_row_blocks_match_reference_bits(monkeypatch, block_floats):
+    # Blocks of one row, of a few rows, and of rows that do not divide m:
+    # the residuals keep the bits of the whole-profile expressions.
+    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    test_kkt_residuals_match_reference_bits(120, 90)
+
+
+def test_certify_holds_one_block_of_rows():
+    # On a game of three blocks the traced peak is one block of rows and
+    # change: the profile is the only m x n array a certificate needs.
+    m, n = 700, 800
+    g = sized_game(seeded_rng(23), m, n)
+    res = solve_equilibrium(g)
+    tracemalloc.start()
+    try:
+        certify(g, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * equilibrium.KKT_BLOCK_FLOATS < 8 * m * n
 
 
 def test_kkt_check_holds_one_profile_sized_temporary():
