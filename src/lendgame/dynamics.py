@@ -10,7 +10,7 @@ Four variants, all provably convergent to the unique equilibrium:
   (weighted) utility gradients, followed by per-lender Euclidean projection
   back onto the budget-capped orthant (synchronous);
 * continuous: the ODE ds_i/dt = BR_i(s) - s_i, integrated with classical
-  fixed-step RK4.
+  fixed-step RK4, each step projected back onto the budget sets.
 
 `run` drives every variant through one loop.  Trajectories record the
 potential and the Lyapunov gap (potential at equilibrium minus current
@@ -207,14 +207,11 @@ def _continuous(game: LendingGame, s: np.ndarray, h: float) -> np.ndarray:
     k2 = field_at(s + 0.5 * h * k1)
     k3 = field_at(s + 0.5 * h * k2)
     k4 = field_at(s + h * k3)
-    out = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # RK4 can leave the feasible set by integrator error only; clip it.
-    np.maximum(out, 0.0, out=out)
-    excess = np.add.reduce(out, axis=1) / game.budgets
-    over = excess > 1.0
-    if over.any():
-        out[over] /= excess[over, None]
-    return out
+    # Above ode_step ~ 1.2956 a step is no longer a convex combination of
+    # best responses and can leave the budget set.  It returns through the
+    # projection onto the set, as a pseudo-gradient step does; a row within
+    # its budget is only clipped at 0.
+    return _capped_projection(s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), game.budgets)
 
 
 def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
@@ -284,8 +281,8 @@ def _stepper(game: LendingGame, cfg: DynamicsConfig):
 def integrate_continuous(
     game: LendingGame,
     initial_profile: np.ndarray,
-    ode_step: float = 0.01,
-    horizon: float = 50.0,
+    ode_step: float = DynamicsConfig.ode_step,
+    horizon: float = DynamicsConfig.horizon,
     snapshot_every: int | None = None,
 ) -> Trajectory:
     """Integrate ds_i/dt = BR_i(s) - s_i with classical fixed-step RK4 up to

@@ -54,21 +54,18 @@ def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
     Returns (mbar, perm) where perm sorts budgets non-decreasingly (stable,
     so budget ties keep original order) and mbar is the least k such that the
     (k+1)-th smallest budget strictly exceeds the equal share
-    (sum d - sum of the k smallest budgets) / (m - k + 1), with the budget
-    beyond the last lender taken as infinite.  Uses the running-value
-    recurrence, so the sum is formed once.
+    (sum d - sum of the k smallest budgets) / (m - k + 1), or m if none
+    does.  Every share comes from one prefix sum of the sorted budgets.
     """
     m = game.m
     perm = np.argsort(game.budgets, kind="stable")
     sorted_budgets = game.budgets[perm]
-    share = game.total_demand / (m + 1)
-    k = 0
+    spent = np.concatenate(([0.0], np.add.accumulate(sorted_budgets[:-1])))
+    share = (game.total_demand - spent) / np.arange(m + 1, 1, -1)
     # Strict comparison on purpose: equality keeps the lender in the
     # exhausted set, matching the dual-feasibility argument.
-    while k < m and sorted_budgets[k] <= share:
-        share = (share * (m - k + 1) - sorted_budgets[k]) / (m - k)
-        k += 1
-    return k, perm
+    above = np.flatnonzero(sorted_budgets > share)
+    return (int(above[0]) if above.size else m), perm
 
 
 def solve_equilibrium(game: LendingGame) -> EquilibriumResult:

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,8 @@ from lendgame import (
     step_randomised,
     validate_profile,
 )
-from lendgame.dynamics import FIELDS, ConfigError, _lender_draw
+from lendgame.best_response import _capped_projection
+from lendgame.dynamics import FIELDS, ConfigError, _continuous, _lender_draw
 from lendgame.game import check
 from lendgame.oracle import random_game, random_profile
 
@@ -308,6 +310,40 @@ def test_continuous_fixed_point(two_lender_game):
     traj = integrate_continuous(two_lender_game, star, 0.01, 1.0)
     assert np.abs(traj.final_profile - star).max() <= 1e-10
     assert np.abs(traj.lyapunov_gaps).max() <= 1e-12
+
+
+def test_integrate_continuous_defaults_are_the_configs():
+    params = inspect.signature(integrate_continuous).parameters
+    assert params["ode_step"].default == DynamicsConfig().ode_step
+    assert params["horizon"].default == DynamicsConfig().horizon
+
+
+def test_continuous_step_that_leaves_the_budget_set_is_projected_back():
+    # Above ode_step ~ 1.2956 an RK4 step is no longer a convex combination
+    # of best responses.  This 2 x 2 game, its profile and its step (the 4th
+    # draw from Philox(14) of budgets and demands in [0.5, 100), the first
+    # demand times 0.01, random_profile, and h in [1.3, 5.5706 / 3]) give
+    # a raw step whose row 0 sums to 1.0151 times its budget.
+    g = LendingGame([20.327137284645122, 92.7896089706178], [0.9130022899437421, 95.52962260970284],
+                    0.02, 0.08)
+    s = np.array([[1.7280908438203488, 18.089901175714715], [3.68879288981471, 64.46776554058397]])
+    h = 1.7338472594940222
+
+    def field_at(x):
+        return best_response_profile(g, x) - x
+
+    k1 = field_at(s)
+    k2 = field_at(s + 0.5 * h * k1)
+    k3 = field_at(s + 0.5 * h * k2)
+    k4 = field_at(s + h * k3)
+    raw = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert raw[0].sum() > 1.015 * g.budgets[0]
+    want = _capped_projection(raw, g.budgets)
+    assert _continuous(g, s, h).tobytes() == want.tobytes()
+    cfg = DynamicsConfig(variant="continuous", ode_step=h, max_iters=1, stop_gap=1e-300)
+    got = run(g, s, cfg).final_profile
+    assert got.tobytes() == want.tobytes()
+    validate_profile(g, got)
 
 
 def test_continuous_lyapunov_monotone_random_games():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,63 @@ def test_threshold_permutation_is_stable_sort():
     g = LendingGame([5.0, 5.0, 1.0], [6.0], 0.02, 0.08)
     _, perm = compute_threshold_index(g)
     assert list(perm) == [2, 0, 1]  # ties keep original order
+
+
+def reference_threshold_index(game):
+    """The running-value recurrence compute_threshold_index replaced: one
+    share, updated lender by lender in a Python loop."""
+    m = game.m
+    sorted_budgets = game.budgets[np.argsort(game.budgets, kind="stable")]
+    share = game.total_demand / (m + 1)
+    k = 0
+    while k < m and sorted_budgets[k] <= share:
+        share = (share * (m - k + 1) - sorted_budgets[k]) / (m - k)
+        k += 1
+    return k
+
+
+def exact_threshold_index(game):
+    """The docstring's definition in rationals: the least k whose (k+1)-th
+    smallest budget strictly exceeds (sum d - sum of the k smallest
+    budgets) / (m - k + 1), or m; also whether some k ties, with equality."""
+    budgets = sorted(map(Fraction, game.budgets.tolist()))
+    rest = sum(map(Fraction, game.demands.tolist()))
+    tied = False
+    for k, budget in enumerate(budgets):
+        share = rest / (game.m - k + 1)
+        if budget > share:
+            return k, tied
+        tied |= budget == share
+        rest -= budget
+    return game.m, tied
+
+
+def test_threshold_index_matches_the_recurrence():
+    # Games up to 59 x 59; every third has integer budgets, so budgets tie.
+    rng = seeded_rng(70)
+    split = set()
+    for k in range(20_001):
+        m, n = (int(x) for x in rng.integers(1, 60, 2))
+        budgets = rng.integers(1, 100, m).astype(float) if k % 3 == 0 else rng.uniform(0.5, 100.0, m)
+        g = LendingGame(budgets, rng.uniform(0.5, 100.0, n), 0.02, 0.08)
+        mbar = compute_threshold_index(g)[0]
+        assert mbar == reference_threshold_index(g), k
+        split.add(("none", "some", "all")[(mbar > 0) + (mbar == g.m)])
+    assert split == {"none", "some", "all"}
+
+
+def test_threshold_index_is_exact_on_small_integer_games():
+    # Budgets and demands in 1..6: a budget often equals its share exactly,
+    # and equality keeps the lender in the exhausted set.
+    rng = seeded_rng(71)
+    ties = 0
+    for _ in range(3_000):
+        m, n = (int(x) for x in rng.integers(1, 7, 2))
+        g = LendingGame(rng.integers(1, 7, m).astype(float), rng.integers(1, 7, n).astype(float), 0.02, 0.08)
+        mbar, tied = exact_threshold_index(g)
+        assert compute_threshold_index(g)[0] == mbar, (g.budgets, g.demands)
+        ties += tied
+    assert ties >= 100
 
 
 def test_solve_two_lender(two_lender_game):
