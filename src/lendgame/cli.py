@@ -104,27 +104,28 @@ def _out_path(path: str | None, default_name: str) -> str:
     return os.path.join(os.environ.get("LENDGAME_OUTPUT_DIR", "."), default_name)
 
 
-def _write_rows(out, profile: np.ndarray, common: int | None) -> None:
-    """Write each row of the profile as "  " + join_floats(row) + "\n".
-    Every lender outside the exhausted set lends the same row, that of
-    lender `common` (None if there is none), so that line is formatted once
-    and written again for each row with the same bits (bits, not values:
-    -0.0 and 0.0 are written differently).  The other rows, the fresh ones,
-    are gathered and formatted in fmt17's blocks, and each block is written
-    before the next is formatted, the common lines between its rows
+def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None) -> None:
+    """Write each row of the profile np.outer(share, demands) as "  " +
+    join_floats(row) + "\n".  Every lender whose share has the bits of
+    lender `common`'s (None if there is none) lends the same row, so that
+    line is formatted once, as share[common] * demands, and written again
+    for each of them (bits, not values: a share of -0.0 writes a row of
+    -0, one of 0.0 a row of 0).  The other rows, the fresh ones, are made
+    from their shares and formatted in fmt17's blocks, and each block is
+    written before the next is made, the common lines between its rows
     included."""
-    m, n = profile.shape
+    m, n = share.size, demands.size
     same = np.zeros(m, dtype=bool)
     line = ""
     if common is not None:
-        line = "  " + join_floats(profile[common]) + "\n"
-        rows = np.ascontiguousarray(profile).view(np.dtype((np.void, 8 * n)))[:, 0]
-        same = rows == rows[common]
+        line = "  " + join_floats(share[common] * demands) + "\n"
+        bits = share.view(np.uint64)
+        same = bits == bits[common]
     fresh = np.flatnonzero(~same)
     # The common lines before each fresh row, and after the last one.
     gaps = np.diff(fresh, prepend=-1, append=m) - 1
     for block in blocks(fresh.size, n):
-        lines = float_text(profile[fresh[block]].ravel(), n).decode().split("\n")
+        lines = float_text(np.outer(share[fresh[block]], demands).ravel(), n).decode().split("\n")
         for gap, text in zip(gaps[block].tolist(), lines):
             _write_common(out, line, gap, n)
             out.write(f"  {text}\n")
@@ -151,7 +152,7 @@ def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     out.write("equilibrium_profile\n")
     free = np.ones(game.m, dtype=bool)
     free[result.exhausted_set] = False
-    _write_rows(out, result.profile, int(np.argmax(free)) if free.any() else None)
+    _write_rows(out, result.share, result.demands, int(np.argmax(free)) if free.any() else None)
     out.write(f"kkt_primal_residual {fmt(report.primal_residual)}\n")
     out.write(f"kkt_stationarity_residual {fmt(report.stationarity_residual)}\n")
     out.write(f"kkt_dual_residual {fmt(report.dual_residual)}\n")

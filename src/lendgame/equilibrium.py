@@ -14,25 +14,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import LendingGame, interest_rates, potential_gradient
+from .game import LendingGame, _gradient_rows, interest_rates
 
 
-# Most floats in a block of kkt_check's rows.  A certificate then holds one
-# m x n array, the profile, and a block; each block sums the profile's
-# columns again, 4 times on a 1000 x 1000 game.
-KKT_BLOCK_FLOATS = 1 << 18
+# Most floats in a block of rows of the KKT check.  `certify` holds one
+# block and O(m + n) floats besides; `kkt_check` holds its caller's profile
+# and one block.
+KKT_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Equilibrium profile plus the certificates produced alongside it."""
+    """The equilibrium, as row shares times the demands, plus the
+    certificates produced alongside it.  The profile has rank one: lender i
+    lends share[i] * d_j to borrower j, so it is built only on request."""
 
-    profile: np.ndarray                # (m, n) equilibrium lending matrix
+    share: np.ndarray                  # (m,) each lender's fraction of every demand
+    demands: np.ndarray                # (n,) the game's demands, not a copy
     threshold_index: int               # number of budget-exhausted lenders
     exhausted_set: np.ndarray          # original indices of those lenders
     multipliers_budget: np.ndarray     # (m,) budget-constraint multipliers
-    multipliers_nonneg: np.ndarray     # (m, n) non-negativity multipliers: a read-only view of 0.0
     market_rate: float
+
+    def rows(self, lenders, out=None) -> np.ndarray:
+        """The profile rows of `lenders` (a slice or an index array), in out
+        or in a new array."""
+        return np.outer(self.share[lenders], self.demands, out=out)
+
+    @property
+    def profile(self) -> np.ndarray:
+        """(m, n) equilibrium lending matrix, built anew on each access."""
+        return self.rows(slice(None))
+
+    @property
+    def multipliers_nonneg(self) -> np.ndarray:
+        """(m, n) non-negativity multipliers: a read-only view of 0.0."""
+        return np.broadcast_to(0.0, (self.share.size, self.demands.size))
 
 
 @dataclass(frozen=True)
@@ -69,37 +86,31 @@ def compute_threshold_index(game: LendingGame) -> tuple[int, np.ndarray]:
 
 
 def solve_equilibrium(game: LendingGame) -> EquilibriumResult:
-    """Unique pure Nash equilibrium in O(mn + m log m).
+    """Unique pure Nash equilibrium in O(n + m log m) time and O(m + n)
+    memory.
 
     Exhausted lenders lend c_i * d_j / sum(d); the rest lend the common
     amount (1 - sum_exhausted(c) / sum(d)) / (m - mbar + 1) * d_j.  Budget
     multipliers are nonzero only on the exhausted set.
     """
     mbar, perm = compute_threshold_index(game)
-    m, n = game.m, game.n
+    m = game.m
     total_d = game.total_demand
     exhausted = perm[:mbar]
-    unexhausted = perm[mbar:]
     exhausted_frac = game.budgets[exhausted].sum() / total_d
     common_frac = (1.0 - exhausted_frac) / (m - mbar + 1)
 
-    # Every row from one outer product, so no m x n temporary is made.
-    share = np.empty(m)
+    share = np.full(m, common_frac)
     share[exhausted] = game.budgets[exhausted] / total_d
-    share[unexhausted] = common_frac
-    profile = np.outer(share, game.demands)
-
     mu_budget = np.zeros(m)
-    mu_budget[exhausted] = (game.rate_min - game.rate_max) * (
-        game.budgets[exhausted] / total_d - common_frac
-    )
+    mu_budget[exhausted] = (game.rate_min - game.rate_max) * (share[exhausted] - common_frac)
 
     return EquilibriumResult(
-        profile=profile,
+        share=share,
+        demands=game.demands,
         threshold_index=mbar,
         exhausted_set=np.sort(exhausted),
         multipliers_budget=mu_budget,
-        multipliers_nonneg=np.broadcast_to(0.0, (m, n)),
         market_rate=float(game.rate_min / (m - mbar + 1) * (m - mbar + exhausted_frac)
                           + game.rate_max / (m - mbar + 1) * (1.0 - exhausted_frac)),
     )
@@ -120,29 +131,98 @@ def kkt_check(
     to the rate span, slackness to the utility scale.
 
     The m x n terms are taken in blocks of rows of at most KKT_BLOCK_FLOATS
-    floats.  A block's gradient is its one buffer: the stationarity terms
-    are computed in it in place, and then -s, -mu_n and mu_n s in turn, so
-    the check holds one block-sized temporary, not an m x n one.  These are
-    the element-wise operations of the plain expressions, in the same order,
-    and a maximum is exact, so every residual has the same bits; only a zero
-    residual whose terms hold both signs of zero, on a game of more than one
-    block, may differ in its sign.
+    floats, in one block-sized buffer (see _kkt_report).  A block's maxima
+    are exact, so they can differ from those of the whole arrays only in
+    the sign of a zero.  The primal terms max(-s_ij, 0) enter as -min s,
+    which differs from their maximum only where it is at most a zero.  No
+    residual shows either difference: the stationarity terms are absolute
+    values, and each other residual is Python's max of a term over
+    m-vectors, which is a zero or more, and of its blocks' maxima, and
+    Python's max keeps the first of equal values.  So every residual has
+    the bits of the plain expressions.
+
+    `certify` takes the same blocks from the rank-one profile of a solved
+    equilibrium, and skips the terms that only its non-negativity
+    multipliers touch; that keeps every residual's bits too.  Those
+    multipliers are +0.0: in a stationarity term `+= 0.0` changes only the
+    sign of a -0.0, which `abs` drops next, and a dual term max(-0.0, 0.0)
+    or a slackness term |0.0 * s| (s finite) is a zero, which Python's max
+    never takes over the term before it.
     """
     s = np.asarray(profile, dtype=float)
     mu_b = np.asarray(multipliers_budget, dtype=float)
     mu_n = np.asarray(multipliers_nonneg, dtype=float)
     if s.shape != (game.m, game.n) or mu_b.shape != (game.m,) or mu_n.shape != s.shape:
         raise ValueError("shape mismatch between game, profile and multipliers")
+    return _kkt_report(game, lambda rows, out: s[rows], np.add.reduce(s, axis=0),
+                       mu_b, mu_n, tolerance)
 
-    row_sums = s.sum(axis=1)
-    step = max(1, KKT_BLOCK_FLOATS // game.n)
-    maxima = np.array([_term_maxima(game, s, mu_b, mu_n, slice(start, start + step))
-                       for start in range(0, game.m, step)]).max(axis=0)
-    stationarity, primal_terms, dual_terms, slackness_terms = map(float, maxima)
+
+def certify(game: LendingGame, result: EquilibriumResult, tolerance: float = 1e-8) -> KktReport:
+    """KKT report for a solved equilibrium: that of kkt_check(game,
+    result.profile, result.multipliers_budget, result.multipliers_nonneg,
+    tolerance), bit for bit, from blocks of the profile's rows, so that no
+    m x n array is made."""
+    return _kkt_report(game, result.rows, _column_sums(result), result.multipliers_budget,
+                       None, tolerance)
+
+
+def _column_sums(result: EquilibriumResult) -> np.ndarray:
+    """np.add.reduce(result.profile, axis=0), with its bits, from blocks of
+    rows of at most KKT_BLOCK_FLOATS floats.  With two or more columns,
+    numpy adds the rows in order, one after another; here each block is
+    added below the sums of the rows before it, carried as one more row
+    that starts at -0.0, which leaves every sum's bits as they are.  A
+    profile of one column is one contiguous run, which numpy sums pairwise,
+    so it is summed whole: it is m floats."""
+    m, n = result.share.size, result.demands.size
+    if n == 1:
+        return np.add.reduce(result.profile, axis=0)
+    step = max(1, KKT_BLOCK_FLOATS // n)
+    buf = np.full((min(step, m) + 1, n), -0.0)
+    for start in range(0, m, step):
+        k = min(step, m - start)
+        result.rows(slice(start, start + k), out=buf[1:k + 1])
+        buf[0] = np.add.reduce(buf[:k + 1], axis=0)
+    return buf[0].copy()
+
+
+def _kkt_report(game: LendingGame, rows_of, supply, mu_b, mu_n, tolerance) -> KktReport:
+    """The KKT report of the profile whose column sums are supply and whose
+    rows `rows_of(rows, out)` returns, made in out or a view of the
+    caller's profile; mu_n None stands for zero non-negativity multipliers,
+    whose terms are skipped (see kkt_check).
+
+    A block's gradient is computed in the buffer, then its stationarity
+    terms in place, and then -mu_n and mu_n s in turn, so the check holds
+    one block-sized temporary.  The primal terms' -min s is taken before
+    the gradient overwrites a block made in the buffer."""
+    m, n = game.m, game.n
+    step = max(1, KKT_BLOCK_FLOATS // n)
+    buf = np.empty((min(step, m), n))
+    row_sums = np.empty(m)
+    maxima = []
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        out = buf[:min(step, m - start)]
+        s = rows_of(rows, out)
+        row_sums[rows] = np.add.reduce(s, axis=1)
+        primal_term = -s.min()
+        grad = _gradient_rows(game, s, supply, out)
+        grad -= mu_b[rows, None]
+        if mu_n is not None:
+            grad += mu_n[rows]
+        terms = [np.abs(grad, out=grad).max(), primal_term]
+        if mu_n is not None:
+            # s is a view of the caller's profile, so out is free again.
+            terms += [np.maximum(np.negative(mu_n[rows], out=out), 0.0, out=out).max(),
+                      np.abs(np.multiply(mu_n[rows], s, out=out), out=out).max()]
+        maxima.append(terms)
+    stationarity, primal_terms, *nonneg_terms = map(float, np.max(maxima, axis=0))
 
     primal = max(float(np.maximum(row_sums - game.budgets, 0.0).max()), primal_terms)
-    dual = max(float(np.maximum(-mu_b, 0.0).max()), dual_terms)
-    slackness = max(float(np.abs(mu_b * (game.budgets - row_sums)).max()), slackness_terms)
+    dual = max([float(np.maximum(-mu_b, 0.0).max()), *nonneg_terms[:1]])
+    slackness = max([float(np.abs(mu_b * (game.budgets - row_sums)).max()), *nonneg_terms[1:]])
 
     return KktReport(
         primal_residual=primal,
@@ -155,30 +235,6 @@ def kkt_check(
             and max(stationarity, dual) <= tolerance * game.rate_span
             and slackness <= tolerance * game.utility_scale
         ),
-    )
-
-
-def _term_maxima(game: LendingGame, s, mu_b, mu_n, rows: slice) -> tuple:
-    """Maxima of the stationarity, primal, dual and slackness terms of the
-    lenders `rows`, computed in turn in the one buffer of their gradient."""
-    buf = potential_gradient(game, s, rows)
-    s, mu_n = s[rows], mu_n[rows]
-    buf -= mu_b[rows, None]
-    buf += mu_n
-    return (np.abs(buf, out=buf).max(),
-            np.maximum(np.negative(s, out=buf), 0.0, out=buf).max(),
-            np.maximum(np.negative(mu_n, out=buf), 0.0, out=buf).max(),
-            np.abs(np.multiply(mu_n, s, out=buf), out=buf).max())
-
-
-def certify(game: LendingGame, result: EquilibriumResult, tolerance: float = 1e-8) -> KktReport:
-    """KKT report for a solved equilibrium (convenience wrapper)."""
-    return kkt_check(
-        game,
-        result.profile,
-        result.multipliers_budget,
-        result.multipliers_nonneg,
-        tolerance,
     )
 
 

@@ -261,13 +261,21 @@ def potential_telescoped(game: LendingGame, profile: np.ndarray) -> float:
     return float(((rates - game.rate_min) * s).sum())
 
 
-def potential_gradient(game: LendingGame, profile: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Gradient of the potential in the lenders `rows` (all, or a slice):
-    entry (i, j) is (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1),
-    the column sums over the whole profile.  Computed in the one array it
-    returns, which callers may reuse."""
+def potential_gradient(game: LendingGame, profile: np.ndarray) -> np.ndarray:
+    """Gradient of the potential: entry (i, j) is
+    (rate_min - rate_max) * ((s_ij + sum_k s_kj) / d_j - 1).  Computed in
+    the one array it returns, which callers may reuse."""
     s = np.asarray(profile, dtype=float)
-    grad = s[rows] + np.add.reduce(s, axis=0)
+    return _gradient_rows(game, s, np.add.reduce(s, axis=0))
+
+
+def _gradient_rows(game: LendingGame, rows: np.ndarray, supply: np.ndarray, out=None) -> np.ndarray:
+    """potential_gradient's entries in the profile rows `rows`, given the
+    profile's column sums `supply`, computed in out (which may be rows) or
+    in a new array.  A KKT certificate takes the column sums once and the
+    rows a block at a time; every other caller goes through
+    potential_gradient."""
+    grad = np.add(rows, supply, out=out)
     grad /= game.demands
     grad -= 1.0
     grad *= game.rate_min - game.rate_max

@@ -99,28 +99,29 @@ def check_instance(game: gm.LendingGame, rng: np.random.Generator) -> list[Row]:
     #   max(1, (m + 1) c_max / d_min), that is covered only when D >= d_min
     #   too: with c_max for D, 1 x 1 games with c < d / 9 fail.
     result = eq.solve_equilibrium(game)
-    phi_star = gm.potential(game, result.profile)
+    star = result.profile   # built on access, so built once here
+    phi_star = gm.potential(game, star)
     gap = phi_star - phi_s
     bound = gap * gap / (4.0 * game.m**4 * game.n**2 * a * cash**2)
     max_gain = float(best_response_gains(game, s).max())
     results.append(("improvement_bound", max_gain >= bound - 1e-12 * util, f"gain {max_gain:.3g} bound {bound:.3g}"))
 
     sol = orc.projected_gradient_solve(game, tol=orc.gradient_tol_for_profile_tol(game, 1e-8 * cash))
-    dist = float(np.abs(sol.profile - result.profile).max())
+    dist = float(np.abs(sol.profile - star).max())
     results.append(("oracle_equivalence", dist <= 1e-6 * cash, f"l_inf {dist:.3g}"))
 
     report = eq.certify(game, result, tolerance=1e-10)
     results.append(("kkt_residuals", report.passed, f"max residual {max(report.primal_residual, report.stationarity_residual, report.dual_residual, report.slackness_residual):.3g}"))
 
-    results.extend(check_candidate(game, result.profile))
+    results.extend(check_candidate(game, star))
 
-    oversupply = float((result.profile.sum(axis=0) - game.demands).max())
+    oversupply = float((star.sum(axis=0) - game.demands).max())
     results.append(("no_oversupply", oversupply <= 1e-9 * cash, f"excess {oversupply:.3g}"))
 
     perm = rng.permutation(game.m)
     permuted = gm.LendingGame(game.budgets[perm], game.demands, game.rate_min, game.rate_max)
     p_res = eq.solve_equilibrium(permuted)
-    p_dist = float(np.abs(p_res.profile - result.profile[perm]).max())
+    p_dist = float(np.abs(p_res.profile - star[perm]).max())
     results.append(("permutation_equivariance", p_dist <= 1e-12 * cash, f"l_inf {p_dist:.3g}"))
     return results
 

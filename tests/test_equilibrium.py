@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -229,8 +230,10 @@ def test_kkt_residuals_in_row_blocks_match_reference_bits(monkeypatch, block_flo
 
 
 def test_certify_holds_one_block_of_rows():
-    # On a game of three blocks the traced peak is one block of rows and
-    # change: the profile is the only m x n array a certificate needs.
+    # On a game of nine blocks the traced peak is one block of rows, the
+    # iterator buffers numpy takes for a broadcast product (np.getbufsize()
+    # floats for each of its two operands) and a few m- and n-vectors: a
+    # certificate holds no m x n array.
     m, n = 700, 800
     g = sized_game(seeded_rng(23), m, n)
     res = solve_equilibrium(g)
@@ -240,22 +243,95 @@ def test_certify_holds_one_block_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * equilibrium.KKT_BLOCK_FLOATS < 8 * m * n
+    bound = 8 * (equilibrium.KKT_BLOCK_FLOATS + 2 * np.getbufsize() + 4 * (m + n))
+    assert peak <= bound < 8 * m * n
 
 
 def test_kkt_check_holds_one_profile_sized_temporary():
-    # The residuals are computed in the gradient's array: the traced peak is
-    # one m x n float array and change, where the plain expressions hold two.
+    # The residuals are computed in a block-sized buffer: the traced peak is
+    # the profile, built on access, and change, where the plain expressions
+    # hold two more m x n float arrays.
     m = n = 600
     g = sized_game(seeded_rng(21), m, n)
     res = solve_equilibrium(g)
     tracemalloc.start()
     try:
-        certify(g, res)
+        kkt_check(g, res.profile, res.multipliers_budget, res.multipliers_nonneg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * m * n
+
+
+def result_of(share, demands):
+    """An equilibrium result with these row shares and demands; the other
+    fields are placeholders."""
+    return equilibrium.EquilibriumResult(share=share, demands=demands, threshold_index=0,
+                                         exhausted_set=np.zeros(0, dtype=int),
+                                         multipliers_budget=np.zeros(share.size), market_rate=0.0)
+
+
+@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.KKT_BLOCK_FLOATS])
+def test_column_sums_in_row_blocks_match_numpy_bits(monkeypatch, block_floats):
+    # The one place where numpy's order matters: the column sums of a
+    # profile of two or more columns, taken a block of rows at a time, keep
+    # the bits of np.add.reduce(profile, axis=0), signed zeros and columns of
+    # -0.0 included.  At the default, m = 200 and n = 1000 span four blocks.
+    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    rng = seeded_rng(26)
+    for m, n in [(1, 1), (1, 5), (9, 1), (300, 1), (7, 2), (50, 7), (120, 90), (200, 1000)]:
+        for zeros in (False, True):
+            share = rng.uniform(-1.0, 2.0, m)
+            demands = rng.uniform(0.5, 100.0, n)
+            if zeros:
+                share[rng.random(m) < 0.3] = 0.0
+                share[rng.random(m) < 0.3] = -0.0
+                share[::3] = -0.0
+                demands[0] = -0.0
+            for result in (result_of(share, demands), result_of(np.full(m, -0.0), demands)):
+                want = np.add.reduce(result.profile, axis=0)
+                assert equilibrium._column_sums(result).tobytes() == want.tobytes()
+
+
+def solved_games_of_every_kind(rng):
+    """Games where no lender, some lenders and every lender are exhausted,
+    and the budget-tie games of test_report_matches_reference_on_budget_ties."""
+    yield LendingGame([1.0, 5.0, 3.0], [1.0, 3.0], 0.02, 0.08)
+    yield LendingGame([4.0, 4.0, 4.0, 1.0, 1.0], [3.0, 5.0, 7.0], 0.01, 0.05)
+    for m, n, supply in [(1, 1, 0.5), (1, 1, 50.0), (6, 4, 0.75), (40, 7, 0.05),
+                         (40, 7, 50.0), (70, 1, 0.75), (200, 120, 1.0)]:
+        for _ in range(4):
+            budgets = rng.uniform(0.5, 100.0, m)
+            demands = rng.uniform(0.5, 100.0, n)
+            yield LendingGame(budgets, demands * supply * budgets.sum() / demands.sum(), 0.02, 0.08)
+
+
+@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.KKT_BLOCK_FLOATS])
+def test_certify_matches_kkt_check_bits(monkeypatch, block_floats):
+    # certify takes the rank-one profile's rows a block at a time and skips
+    # the zero non-negativity multipliers' terms: its four residuals keep
+    # the bits of the dense check on the whole profile, on each solved game
+    # and on a result crafted from it, with shares and budget multipliers
+    # of both signs and signed zeros.
+    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    rng = seeded_rng(27)
+    kinds = set()
+    fields = ("primal_residual", "stationarity_residual", "dual_residual", "slackness_residual")
+    for g in solved_games_of_every_kind(rng):
+        res = solve_equilibrium(g)
+        kinds.add(("none", "some", "all")[(res.threshold_index > 0) + (res.threshold_index == g.m)])
+        share = rng.uniform(-0.5, 1.0, g.m) * res.share
+        share[rng.random(g.m) < 0.2] = 0.0
+        share[rng.random(g.m) < 0.2] = -0.0
+        mu_b = rng.uniform(-0.1, 0.1, g.m) * g.rate_span
+        mu_b[rng.random(g.m) < 0.2] = -0.0
+        crafted = dataclasses.replace(res, share=share, multipliers_budget=mu_b)
+        for r in (res, crafted):
+            got = certify(g, r)
+            want = kkt_check(g, r.profile, r.multipliers_budget, r.multipliers_nonneg)
+            assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+            assert got == want
+    assert kinds == {"none", "some", "all"}
 
 
 def reference_profile(game):
@@ -289,22 +365,24 @@ def test_profile_matches_rows_filled_apart():
     assert exhausted == {"none", "some", "all"}
 
 
-def test_solve_holds_one_profile_sized_array():
-    # The profile is the only m x n array the solver allocates; the
+def test_solve_holds_no_profile_sized_array():
+    # The solver keeps the row shares and a reference to the demands, not
+    # the profile: its traced peak is a few m- and n-vectors.  The
     # non-negativity multipliers are a read-only view of one zero.
-    m = n = 600
-    g = sized_game(seeded_rng(22), m, n)
-    tracemalloc.start()
-    try:
-        res = solve_equilibrium(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 8 * m * n
-    assert res.multipliers_nonneg.shape == (m, n)
-    assert not res.multipliers_nonneg.flags.writeable
-    assert np.all(res.multipliers_nonneg == 0.0)
-    assert not np.signbit(res.multipliers_nonneg).any()
+    for m, n in [(600, 600), (2000, 50), (50, 2000)]:
+        g = sized_game(seeded_rng(22), m, n)
+        tracemalloc.start()
+        try:
+            res = solve_equilibrium(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 10 * (m + n) < 8 * m * n
+        assert res.demands is g.demands
+        assert res.multipliers_nonneg.shape == (m, n)
+        assert not res.multipliers_nonneg.flags.writeable
+        assert np.all(res.multipliers_nonneg == 0.0)
+        assert not np.signbit(res.multipliers_nonneg).any()
 
 
 def test_nash_property():

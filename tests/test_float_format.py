@@ -154,30 +154,31 @@ class Discard:
         pass
 
 
-def row_writer_peaks(profiles, common):
-    """The traced peak of _write_rows on each profile."""
+def row_writer_peaks(shares, demands, common):
+    """The traced peak of _write_rows on the profile of each share vector."""
     peaks = []
-    for profile in profiles:
+    for share in shares:
         tracemalloc.start()
-        cli._write_rows(Discard(), profile, common)
+        cli._write_rows(Discard(), share, demands, common)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     return peaks
 
 
 def test_row_formatting_peak_does_not_grow_with_rows():
-    # Rows are formatted and written a block at a time, so the memory the
-    # writer holds at once is a block's, whatever the number of rows.
+    # Rows are made, formatted and written a block at a time, so the memory
+    # the writer holds at once is a block's, whatever the number of rows.
     rng = np.random.default_rng(0)
-    peaks = row_writer_peaks([rng.uniform(0.0, 1.0, (m, 1000)) for m in (200, 1000)], None)
+    demands = rng.uniform(0.0, 1.0, 1000)
+    peaks = row_writer_peaks([rng.uniform(0.0, 1.0, m) for m in (200, 1000)], demands, None)
     assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_common_line_peak_does_not_grow_with_rows():
     # A run of common lines is written a block's worth of lines at a time,
     # not as one string of the whole run.
-    row = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
-    peaks = row_writer_peaks([np.tile(row, (m, 1)) for m in (200, 1000)], 0)
+    demands = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+    peaks = row_writer_peaks([np.full(m, 0.25) for m in (200, 1000)], demands, 0)
     assert peaks[1] <= 1.1 * peaks[0]
 
 

@@ -152,17 +152,16 @@ def test_report_matches_reference_on_budget_ties():
 
 
 def test_report_writes_signed_zeros_of_free_rows(monkeypatch):
-    # A free lender's row that differs from the common row only in the sign
-    # of a zero must be written from its own bits.
+    # A free lender's row that differs from the common row only in the signs
+    # of its zeros must be written from its own bits.  The writer makes each
+    # row from its lender's share, so the crafted free lenders lend a share
+    # of 0.0, and lender 1 one of -0.0.
     game = LendingGame([100.0, 200.0, 300.0], [1.0, 2.0], 0.02, 0.08)
     solved = eq.solve_equilibrium(game)
-    profile = solved.profile.copy()
-    profile[:, 0] = 0.0
-    profile[1, 0] = -0.0
-    crafted = dataclasses.replace(solved, profile=profile)
+    crafted = dataclasses.replace(solved, share=np.array([0.0, -0.0, 0.0]))
     monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
     text = assert_same_report(game)
-    assert "\n  -0 " in text and "\n  0 " in text
+    assert "\n  -0 -0\n" in text and "\n  0 0\n" in text
 
 
 def game_with_exhausted(exhausted, n, seed):
@@ -196,22 +195,28 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
         exhausted[:] = pattern == "all_exhausted"
     game = game_with_exhausted(exhausted, n, seed=n)
     solved = eq.solve_equilibrium(game)
-    profile = solved.profile.copy()
+    # The writer makes each row from its lender's share and the demands, so
+    # the crafted cases craft those.
     if pattern == "signed_zero_late":
         # A free row late in the report that differs from the common row
-        # only in the sign of a zero is a fresh row of a later block.
-        profile[:, -1] = 0.0
-        late = np.flatnonzero(~exhausted)[-2]
-        profile[late, -1] = -0.0
+        # only in the signs of its zeros is a fresh row of a later block.
+        share = np.where(exhausted, solved.share, 0.0)
+        share[np.flatnonzero(~exhausted)[-2]] = -0.0
+        crafted = dataclasses.replace(solved, share=share)
+        monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
     elif pattern == "out_of_range":
         # Every profile entry outside the array path's [1e-10, 1e15), so
         # that `%` writes each text between the writer's own separators,
-        # newlines and blocks: -0.0, subnormals and magnitudes above 1e20.
+        # newlines and blocks: -0.0, subnormals and magnitudes above 1e15.
         # Equal entries stay equal, and so do the common rows.
-        profile = np.where(profile > 1.0, profile * 1e20, profile * 1e-310)
-        profile[:, 0] = -0.0
-    crafted = dataclasses.replace(solved, profile=profile)
-    monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
+        demands = solved.demands.copy()
+        demands[0] = -0.0
+        crafted = dataclasses.replace(
+            solved, share=np.where(exhausted, solved.share * 1e-310, solved.share * 1e20),
+            demands=demands)
+        profile = crafted.profile[:, 1:]
+        assert not ((np.abs(profile) >= 1e-10) & (np.abs(profile) < 1e15)).any()
+        monkeypatch.setattr(eq, "solve_equilibrium", lambda g: crafted)
     text = assert_same_report(game)
     assert text.count("\n  ") == m
 
@@ -226,6 +231,33 @@ def test_report_matches_reference_across_magnitudes(k, m, n, seed):
                        rng.uniform(0.5, 100.0, n) * scale * rng.uniform(0.1, 2.0) * m / n,
                        0.02, 0.08)
     assert_same_report(game)
+
+
+class Discard:
+    def write(self, text):
+        pass
+
+
+def test_report_peak_does_not_grow_with_lenders():
+    # The certificate holds one block of the profile's rows and the writer
+    # one formatter chunk of them, so the traced peak of a report at
+    # n = 1000 stays flat from m = 200 to m = 1000, below one m x n array.
+    n = 1000
+    peaks = []
+    for m in (200, 1000):
+        rng = np.random.default_rng(m)
+        budgets, demands = rng.uniform(0.5, 100.0, m), rng.uniform(0.5, 100.0, n)
+        game = LendingGame(budgets, demands * 0.75 * budgets.sum() / demands.sum(), 0.02, 0.08)
+        assert 0 < solve_equilibrium(game).threshold_index < m
+        scenario = cli.Scenario(game=game, initial_profile=None, dynamics=DynamicsConfig())
+        tracemalloc.start()
+        try:
+            cli.write_equilibrium_report(scenario, Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 8 * m * n
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def assert_same_export(traj, tmp_path):
