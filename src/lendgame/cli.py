@@ -32,7 +32,7 @@ from . import equilibrium as eq
 from . import game as gm
 from . import oracle as orc
 from .dynamics import FIELDS, ConfigError, DynamicsConfig, STATUS_CONVERGED, run
-from .fmt17 import blocks, float_text, fmt, join_floats
+from .fmt17 import blocks, float_text, fmt
 from .verify import verify
 
 EXIT_OK = 0
@@ -52,7 +52,9 @@ class Scenario:
 def parse_scenario(data: dict) -> Scenario:
     """Build and fully validate a scenario, its `dynamics` block included;
     raises ValueError naming the key or field, or the violated invariant.
-    Each value is checked once; the block's defaults are the program's own."""
+    Each value is checked once here, and the block's again when a dynamics
+    run resolves its configuration; the block's defaults are the program's
+    own."""
     game = gm.LendingGame(*map(data.get, gm.GAME))
     values = gm.check(gm.SCENARIO, data)
     profile = values.get("initial_profile")
@@ -106,19 +108,19 @@ def _out_path(path: str | None, default_name: str) -> str:
 
 def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None) -> None:
     """Write each row of the profile np.outer(share, demands) as "  " +
-    join_floats(row) + "\n".  Every lender whose share has the bits of
-    lender `common`'s (None if there is none) lends the same row, so that
-    line is formatted once, as share[common] * demands, and written again
-    for each of them (bits, not values: a share of -0.0 writes a row of
-    -0, one of 0.0 a row of 0).  The other rows, the fresh ones, are made
-    from their shares and formatted in fmt17's blocks, and each block is
-    written before the next is made, the common lines between its rows
-    included."""
+    float_text(row, n), which ends the line.  Every lender whose share has
+    the bits of lender `common`'s (None if there is none) lends the same
+    row, so that line is formatted once, as share[common] * demands, and
+    written again for each of them (bits, not values: a share of -0.0
+    writes a row of -0, one of 0.0 a row of 0).  The other rows, the fresh
+    ones, are made from their shares and formatted in fmt17's blocks, and
+    each block is written before the next is made, the common lines between
+    its rows included."""
     m, n = share.size, demands.size
     same = np.zeros(m, dtype=bool)
     line = ""
     if common is not None:
-        line = "  " + join_floats(share[common] * demands) + "\n"
+        line = "  " + float_text(share[common] * demands, n).decode()
         bits = share.view(np.uint64)
         same = bits == bits[common]
     fresh = np.flatnonzero(~same)
@@ -148,7 +150,7 @@ def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     out.write(f"threshold_index {result.threshold_index}\n")
     out.write("exhausted_set " + " ".join(str(i) for i in result.exhausted_set) + "\n")
     out.write(f"market_rate {fmt(result.market_rate)}\n")
-    out.write("multipliers_budget " + join_floats(result.multipliers_budget) + "\n")
+    out.write("multipliers_budget " + float_text(result.multipliers_budget, game.m).decode())
     out.write("equilibrium_profile\n")
     free = np.ones(game.m, dtype=bool)
     free[result.exhausted_set] = False

@@ -37,19 +37,16 @@ import numpy as np
 
 from .best_response import _best_responses, _capped_projection, _gains_and_profile
 from .equilibrium import solve_equilibrium
-from .game import LendingGame, Rule, check, potential, potential_gradient, validate_profile
+from .game import BLOCK_FLOATS, LendingGame, Rule, check, potential, potential_gradient, validate_profile
 
 VARIANTS = ("eager", "randomised", "pseudo_gradient", "continuous")
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration_cap"
 
-# Longest block of steps whose potentials `run` evaluates in one call, and
-# the most floats its profiles may hold.  Blocks pay on small games, where
-# numpy's per-call overhead is most of a step; on a large game they would
-# only multiply the memory a step needs.
+# Longest block of steps whose potentials `run` evaluates in one call; its
+# profiles hold at most game.BLOCK_FLOATS floats.
 MAX_BLOCK = 32
-BLOCK_FLOATS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -99,8 +96,8 @@ class DynamicsConfig:
     """Parameters of a dynamics run, each field with its row of FIELDS.  None
     takes a default from the game when the run starts: uniform
     lender_weights, unit pg_weights, pg_step at its bound pg_step_bound and
-    snapshot_every 10 while m n <= 500, ceil(m n / 50) above, so that
-    snapshots add about 50 floats per step or fewer."""
+    snapshot_every max(10, ceil(m n / 50)), so that snapshots add about 50
+    floats per step or fewer."""
 
     variant: str = _field("eager", Rule(VARIANTS))
     alpha: float = _field(1.0, Rule(float, low=0.0, high=1.0))
@@ -147,7 +144,7 @@ class DynamicsConfig:
             raise ConfigError(f"pg_step {pg_step:.6g} outside the stability bound (0, {bound:.6g}]")
         snapshot_every = cfg.snapshot_every
         if snapshot_every is None:
-            snapshot_every = 10 if game.m * game.n <= 500 else math.ceil(game.m * game.n / 50)
+            snapshot_every = max(10, math.ceil(game.m * game.n / 50))
         return replace(cfg, lender_weights=weights, pg_weights=pg_weights, pg_step=pg_step,
                        snapshot_every=snapshot_every)
 
@@ -184,10 +181,14 @@ def _blend(s: np.ndarray, i: int, target: np.ndarray, alpha: float) -> np.ndarra
     return out
 
 
-def _eager(game: LendingGame, s: np.ndarray, alpha: float):
+def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
+    """One eager update: the lender with the highest best-response gain
+    (lowest index on ties) blends a fraction alpha toward its best response.
+    Returns (new profile, chosen lender, that lender's gain)."""
+    s = np.asarray(profile, dtype=float)
     gains, targets = _gains_and_profile(game, s)
     i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
-    return _blend(s, i, targets[i], alpha), i, gains[i]
+    return _blend(s, i, targets[i], alpha), i, float(gains[i])
 
 
 def _randomised(game: LendingGame, s: np.ndarray, alpha: float, i: int) -> np.ndarray:
@@ -212,14 +213,6 @@ def _continuous(game: LendingGame, s: np.ndarray, h: float) -> np.ndarray:
     # projection onto the set, as a pseudo-gradient step does; a row within
     # its budget is only clipped at 0.
     return _capped_projection(s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), game.budgets)
-
-
-def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
-    """One eager update: the lender with the highest best-response gain
-    (lowest index on ties) blends a fraction alpha toward its best response.
-    Returns (new profile, chosen lender, that lender's gain)."""
-    out, i, gain = _eager(game, np.asarray(profile, dtype=float), alpha)
-    return out, i, float(gain)
 
 
 def step_randomised(
@@ -262,7 +255,7 @@ def _stepper(game: LendingGame, cfg: DynamicsConfig):
     """The resolved config's step, s -> (next profile, updating lender or
     -1), with its per-run constants bound."""
     if cfg.variant == "eager":
-        return lambda s: _eager(game, s, cfg.alpha)[:2]
+        return lambda s: step_eager(game, s, cfg.alpha)[:2]
     if cfg.variant == "randomised":
         draw = _lender_draw(cfg.lender_weights, np.random.Generator(np.random.Philox(cfg.seed)))
 

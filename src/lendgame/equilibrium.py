@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import LendingGame, _gradient_rows, interest_rates
-
-
-# Most floats in a block of rows of the KKT check.  `certify` holds one
-# block and O(m + n) floats besides; `kkt_check` holds its caller's profile
-# and one block.
-KKT_BLOCK_FLOATS = 1 << 16
+from .game import BLOCK_FLOATS, LendingGame, _gradient_rows, interest_rates
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def kkt_check(
     `tolerance` is relative: primal to the cash scale, stationarity and dual
     to the rate span, slackness to the utility scale.
 
-    The m x n terms are taken in blocks of rows of at most KKT_BLOCK_FLOATS
+    The m x n terms are taken in blocks of rows of at most BLOCK_FLOATS
     floats, in one block-sized buffer (see _kkt_report).  A block's maxima
     are exact, so they can differ from those of the whole arrays only in
     the sign of a zero.  The primal terms max(-s_ij, 0) enter as -min s,
@@ -169,7 +163,7 @@ def certify(game: LendingGame, result: EquilibriumResult, tolerance: float = 1e-
 
 def _column_sums(result: EquilibriumResult) -> np.ndarray:
     """np.add.reduce(result.profile, axis=0), with its bits, from blocks of
-    rows of at most KKT_BLOCK_FLOATS floats.  With two or more columns,
+    rows of at most BLOCK_FLOATS floats.  With two or more columns,
     numpy adds the rows in order, one after another; here each block is
     added below the sums of the rows before it, carried as one more row
     that starts at -0.0, which leaves every sum's bits as they are.  A
@@ -178,7 +172,7 @@ def _column_sums(result: EquilibriumResult) -> np.ndarray:
     m, n = result.share.size, result.demands.size
     if n == 1:
         return np.add.reduce(result.profile, axis=0)
-    step = max(1, KKT_BLOCK_FLOATS // n)
+    step = max(1, BLOCK_FLOATS // n)
     buf = np.full((min(step, m) + 1, n), -0.0)
     for start in range(0, m, step):
         k = min(step, m - start)
@@ -198,7 +192,7 @@ def _kkt_report(game: LendingGame, rows_of, supply, mu_b, mu_n, tolerance) -> Kk
     one block-sized temporary.  The primal terms' -min s is taken before
     the gradient overwrites a block made in the buffer."""
     m, n = game.m, game.n
-    step = max(1, KKT_BLOCK_FLOATS // n)
+    step = max(1, BLOCK_FLOATS // n)
     buf = np.empty((min(step, m), n))
     row_sums = np.empty(m)
     maxima = []

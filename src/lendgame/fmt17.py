@@ -195,11 +195,6 @@ def float_text(values: np.ndarray, n: int, sep: str = " ") -> bytes:
     return b"".join(parts)
 
 
-def join_floats(values: np.ndarray) -> str:
-    """" ".join(fmt(v) for v in values)."""
-    return float_text(values, values.size)[:-1].decode()
-
-
 def blocks(count: int, width: int):
     """Slices that cut `count` rows of `width` floats into blocks of
     max(1, _ENTRIES // width) rows, the last one possibly short: the rows

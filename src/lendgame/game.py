@@ -20,6 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most floats in one block of a computation taken in blocks: the profiles
+# of a block of steps in `dynamics.run`, the perturbed profiles of a chunk
+# in `oracle.finite_difference_gradient` and the profile rows of a block of
+# the KKT check.  On a small game a block saves numpy's per-call overhead;
+# on a large one the bound keeps what a block holds at 512 KiB.
+BLOCK_FLOATS = 1 << 16
+
 
 def real(value, ndim: int = 0):
     """value as a float, or a float array with ndim non-empty axes, or None.

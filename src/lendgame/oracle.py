@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _capped_projection
-from .dynamics import BLOCK_FLOATS
-from .game import LendingGame, potential, potential_gradient, validate_profile
+from .game import BLOCK_FLOATS, LendingGame, potential, potential_gradient, validate_profile
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def test_kkt_residuals_match_reference_bits(m, n):
 def test_kkt_residuals_in_row_blocks_match_reference_bits(monkeypatch, block_floats):
     # Blocks of one row, of a few rows, and of rows that do not divide m:
     # the residuals keep the bits of the whole-profile expressions.
-    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(equilibrium, "BLOCK_FLOATS", block_floats)
     test_kkt_residuals_match_reference_bits(120, 90)
 
 
@@ -243,7 +243,7 @@ def test_certify_holds_one_block_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 8 * (equilibrium.KKT_BLOCK_FLOATS + 2 * np.getbufsize() + 4 * (m + n))
+    bound = 8 * (equilibrium.BLOCK_FLOATS + 2 * np.getbufsize() + 4 * (m + n))
     assert peak <= bound < 8 * m * n
 
 
@@ -271,13 +271,13 @@ def result_of(share, demands):
                                          multipliers_budget=np.zeros(share.size), market_rate=0.0)
 
 
-@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.KKT_BLOCK_FLOATS])
+@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.BLOCK_FLOATS])
 def test_column_sums_in_row_blocks_match_numpy_bits(monkeypatch, block_floats):
     # The one place where numpy's order matters: the column sums of a
     # profile of two or more columns, taken a block of rows at a time, keep
     # the bits of np.add.reduce(profile, axis=0), signed zeros and columns of
     # -0.0 included.  At the default, m = 200 and n = 1000 span four blocks.
-    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(equilibrium, "BLOCK_FLOATS", block_floats)
     rng = seeded_rng(26)
     for m, n in [(1, 1), (1, 5), (9, 1), (300, 1), (7, 2), (50, 7), (120, 90), (200, 1000)]:
         for zeros in (False, True):
@@ -306,14 +306,14 @@ def solved_games_of_every_kind(rng):
             yield LendingGame(budgets, demands * supply * budgets.sum() / demands.sum(), 0.02, 0.08)
 
 
-@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.KKT_BLOCK_FLOATS])
+@pytest.mark.parametrize("block_floats", [1, 64, 1000, equilibrium.BLOCK_FLOATS])
 def test_certify_matches_kkt_check_bits(monkeypatch, block_floats):
     # certify takes the rank-one profile's rows a block at a time and skips
     # the zero non-negativity multipliers' terms: its four residuals keep
     # the bits of the dense check on the whole profile, on each solved game
     # and on a result crafted from it, with shares and budget multipliers
     # of both signs and signed zeros.
-    monkeypatch.setattr(equilibrium, "KKT_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(equilibrium, "BLOCK_FLOATS", block_floats)
     rng = seeded_rng(27)
     kinds = set()
     fields = ("primal_residual", "stationarity_residual", "dual_residual", "slackness_residual")

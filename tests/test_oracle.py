@@ -13,8 +13,8 @@ from lendgame import (
 )
 from lendgame import oracle
 from lendgame.best_response import _capped_projection
-from lendgame.dynamics import BLOCK_FLOATS, project_capped_simplex
-from lendgame.game import potential_gradient
+from lendgame.dynamics import project_capped_simplex
+from lendgame.game import BLOCK_FLOATS, potential_gradient
 from lendgame.oracle import certificate_step, gradient_tol_for_profile_tol, random_game, random_profile
 
 from conftest import seeded_rng
