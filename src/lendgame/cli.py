@@ -7,7 +7,7 @@ Trajectories are CSV with the columns
 `step,time,lender_updated,potential,lyapunov_gap`, plus a side file of
 thinned profile snapshots.  Every number that `solve` and `dynamics` write
 is formatted by lendgame.fmt17 (`%.17g`, byte-stable); this module holds
-the file layouts around the numbers.
+the file layouts around the numbers and writes them as bytes.
 `verify` runs the suite of lendgame.verify on one scenario or on K random
 games and prints its PASS/FAIL table; here it only loads or draws the
 instances.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -106,35 +107,73 @@ def _out_path(path: str | None, default_name: str) -> str:
     return os.path.join(os.environ.get("LENDGAME_OUTPUT_DIR", "."), default_name)
 
 
+class _Decoded:
+    """The binary write of a text stream that has no buffer under it, such
+    as the io.StringIO that tests and in-process callers put on stdout:
+    the bytes written are ASCII."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def write(self, data: bytes) -> int:
+        return self.text.write(data.decode())
+
+
+def _binary(out):
+    """out as a binary stream: out itself unless it is a text stream, else
+    the buffer under it, once what its text layer holds is flushed, or
+    _Decoded(out) where it has none."""
+    if not isinstance(out, io.TextIOBase):
+        return out
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        return _Decoded(out)
+    out.flush()
+    return buffer
+
+
 def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None) -> None:
-    """Write each row of the profile np.outer(share, demands) as "  " +
-    float_text(row, n), which ends the line.  Every lender whose share has
-    the bits of lender `common`'s (None if there is none) lends the same
-    row, so that line is formatted once, as share[common] * demands, and
-    written again for each of them (bits, not values: a share of -0.0
-    writes a row of -0, one of 0.0 a row of 0).  The other rows, the fresh
-    ones, are made from their shares and formatted in fmt17's blocks, and
-    each block is written before the next is made, the common lines between
-    its rows included."""
+    """Write each row of the profile np.outer(share, demands) to the binary
+    stream out as "  " + float_text(row, n), which ends the line.  Every
+    lender whose share has the bits of lender `common`'s (None if there is
+    none) lends the same row, so that line is formatted once, as
+    share[common] * demands, and written again for each of them (bits, not
+    values: a share of -0.0 writes a row of -0, one of 0.0 a row of 0).
+    The other rows, the fresh ones, are made from their shares and
+    formatted in fmt17's blocks.  Each block goes out in one write with the
+    common lines before its rows, as long as these are no more than the
+    block's rows; past that, what is held goes out, and then the run of
+    common lines a block at a time."""
     m, n = share.size, demands.size
     same = np.zeros(m, dtype=bool)
-    line = ""
+    line = b""
     if common is not None:
-        line = "  " + float_text(share[common] * demands, n).decode()
+        line = b"  " + float_text(share[common] * demands, n)
         bits = share.view(np.uint64)
         same = bits == bits[common]
     fresh = np.flatnonzero(~same)
     # The common lines before each fresh row, and after the last one.
     gaps = np.diff(fresh, prepend=-1, append=m) - 1
     for block in blocks(fresh.size, n):
-        lines = float_text(np.outer(share[fresh[block]], demands).ravel(), n).decode().split("\n")
-        for gap, text in zip(gaps[block].tolist(), lines):
-            _write_common(out, line, gap, n)
-            out.write(f"  {text}\n")
+        text = float_text(np.outer(share[fresh[block]], demands).ravel(), n)
+        view, start = memoryview(text), 0
+        parts, held = [], 0
+        for gap in gaps[block].tolist():
+            if held + gap > block.stop - block.start:
+                out.write(b"".join(parts))
+                _write_common(out, line, gap, n)
+                parts, held = [], 0
+            else:
+                parts += (line,) * gap
+                held += gap
+            end = text.index(b"\n", start) + 1
+            parts += (b"  ", view[start:end])
+            start = end
+        out.write(b"".join(parts))
     _write_common(out, line, int(gaps[-1]), n)
 
 
-def _write_common(out, line: str, count: int, n: int) -> None:
+def _write_common(out, line: bytes, count: int, n: int) -> None:
     """Write `count` copies of line, a row of n floats, a block of rows to
     a write, so that a long run of common lines costs no more memory than a
     block of fresh rows."""
@@ -143,23 +182,26 @@ def _write_common(out, line: str, count: int, n: int) -> None:
 
 
 def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
+    """Solve and certify the scenario's game and write the report to out, a
+    binary or a text stream (see _binary)."""
+    out = _binary(out)
     game = scenario.game
     result = eq.solve_equilibrium(game)
     report = eq.certify(game, result)
-    out.write(f"m {game.m}\nn {game.n}\n")
-    out.write(f"threshold_index {result.threshold_index}\n")
-    out.write("exhausted_set " + " ".join(str(i) for i in result.exhausted_set) + "\n")
-    out.write(f"market_rate {fmt(result.market_rate)}\n")
-    out.write("multipliers_budget " + float_text(result.multipliers_budget, game.m).decode())
-    out.write("equilibrium_profile\n")
+    exhausted = " ".join(str(i) for i in result.exhausted_set)
+    head = (f"m {game.m}\nn {game.n}\nthreshold_index {result.threshold_index}\n"
+            f"exhausted_set {exhausted}\nmarket_rate {fmt(result.market_rate)}\n"
+            "multipliers_budget ")
+    out.write(head.encode() + float_text(result.multipliers_budget, game.m)
+              + b"equilibrium_profile\n")
     free = np.ones(game.m, dtype=bool)
     free[result.exhausted_set] = False
     _write_rows(out, result.share, result.demands, int(np.argmax(free)) if free.any() else None)
-    out.write(f"kkt_primal_residual {fmt(report.primal_residual)}\n")
-    out.write(f"kkt_stationarity_residual {fmt(report.stationarity_residual)}\n")
-    out.write(f"kkt_dual_residual {fmt(report.dual_residual)}\n")
-    out.write(f"kkt_slackness_residual {fmt(report.slackness_residual)}\n")
-    out.write(f"kkt_passed {str(report.passed).lower()}\n")
+    out.write(f"kkt_primal_residual {fmt(report.primal_residual)}\n"
+              f"kkt_stationarity_residual {fmt(report.stationarity_residual)}\n"
+              f"kkt_dual_residual {fmt(report.dual_residual)}\n"
+              f"kkt_slackness_residual {fmt(report.slackness_residual)}\n"
+              f"kkt_passed {str(report.passed).lower()}\n".encode())
     return result
 
 
@@ -169,7 +211,7 @@ def cmd_solve(args) -> int:
         write_equilibrium_report(scenario, sys.stdout)
         return EXIT_OK
     try:
-        with open(args.output, "w") as fh:
+        with open(args.output, "wb") as fh:
             result = write_equilibrium_report(scenario, fh)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
@@ -183,21 +225,21 @@ def export_trajectory(traj, path: str) -> None:
     formatted in fmt17's blocks, each block written before the next is
     formatted.  The integer columns (steps, lenders) are exact floats, the
     same as `%d` below 2^53."""
-    with open(path, "w") as fh:
-        fh.write("step,time,lender_updated,potential,lyapunov_gap\n")
+    with open(path, "wb") as fh:
+        fh.write(b"step,time,lender_updated,potential,lyapunov_gap\n")
         columns = (traj.steps, traj.times, traj.lenders, traj.potentials, traj.lyapunov_gaps)
         for block in blocks(traj.steps.size, len(columns)):
             table = np.column_stack([column[block] for column in columns])
-            fh.write(float_text(table.ravel(), len(columns), ",").decode())
-    with open(path + ".profiles.csv", "w") as fh:
+            fh.write(float_text(table.ravel(), len(columns), ","))
+    with open(path + ".profiles.csv", "wb") as fh:
         if traj.snapshots:
             m, n = traj.snapshots[0][1].shape
             header = ["step"] + [f"s_{i}_{j}" for i in range(m) for j in range(n)]
-            fh.write(",".join(header) + "\n")
+            fh.write((",".join(header) + "\n").encode())
             for block in blocks(len(traj.snapshots), 1 + m * n):
                 steps, profiles = zip(*traj.snapshots[block])
                 table = np.column_stack((steps, np.reshape(profiles, (len(steps), m * n))))
-                fh.write(float_text(table.ravel(), 1 + m * n, ",").decode())
+                fh.write(float_text(table.ravel(), 1 + m * n, ","))
 
 
 def cmd_dynamics(args) -> int:

@@ -39,15 +39,25 @@ def fmt(x: float) -> str:
 # needs a division by 10^-p.)
 #
 # Text.  `%g` writes fixed notation for -4 <= k < 17, else d.ddde+XX, and
-# strips trailing zeros; here k <= 14, so an exponent is negative.  A
-# window of the digit string, padded with '0's on the left and taken at an
-# offset that depends on k, puts the integer digits left of a fixed column
-# and the fraction right of it; a second window starts at the sign or the
-# first digit.  Windows are fancy-indexed views whose items overlap (see
-# _bytes_view), so each moves every row by its own offset in one copy.
+# strips trailing zeros; here k <= 14, so an exponent is negative.  Two
+# windows of the digit string, padded with '0's on the left and taken at
+# offsets that depend on k, make the two halves of a text row: the first
+# ends at the digit of 10^0 and the second starts at it, where the point
+# goes, so the integer digits lie left of a fixed column and the fraction
+# right of it.  Windows are fancy-indexed views whose items overlap (see
+# _bytes_view), so one gather moves every half by its own offset.
+# _compact then packs the texts end to end with copies whose targets never
+# overlap but where they write the same bytes, so no result depends on the
+# order in which numpy applies a fancy assignment.
 _ENTRIES = 2 ** 12   # floats per call of _format_chunk
-_POW5 = 5 ** np.arange(28, dtype=np.uint64)   # 5^p for p = 16 - k
 _LOW = np.uint64(2 ** 32 - 1)
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)   # 5^p for p = 16 - k
+_POW5_LOW, _POW5_HIGH = _POW5 & _LOW, _POW5 >> 32   # its 32-bit limbs
+# |x| lies in [1e-10, 1e15) where its bits less those of 1e-10, wrapped
+# around in uint64, are below _FAST_SPAN.
+_FAST_LOW = np.float64(1e-10).view(np.uint64)
+_FAST_SPAN = np.float64(1e15).view(np.uint64) - _FAST_LOW
+_ONE = np.float64(1.0).view(np.uint64)
 _G = np.arange(10_000, dtype=np.uint32)
 # Each 4-digit group 0000..9999 as 4 ASCII bytes in a uint32, and its
 # trailing zeros (4 for 0000).
@@ -56,10 +66,20 @@ _GROUP = (48 + _G // 1000 | (48 + _G // 100 % 10) << 8 | (48 + _G // 10 % 10) <<
 _GROUP_ZEROS = ((_G % 10 == 0).astype(np.uint8) + (_G % 100 == 0) + (_G % 1000 == 0)
                 + (_G == 0))
 del _G
-_WIDTH = 40          # bytes per row of the digit and text buffers
+# A half of a text row holds the point, 20 digits (k = -4) and a separator;
+# a digit row starts with the '0's that a first window takes at k = -4.
+_HALF = 22           # bytes per half of a text row
+_LEFT = _HALF + 3    # '0's before the 17 digits of a digit row
+_WIDTH = 2 * _HALF   # bytes per row of the digit and text buffers
+_ROWS = np.arange(_ENTRIES) * _WIDTH   # the first byte of each row
 _OUT = 25            # longest text, "-2.2250738585072014e-308", and a separator
-# Item x of _PREFIX is x True and then False bools.
-_PREFIX = np.tri(_OUT + 1, _OUT, -1, dtype=bool).view(f"V{_OUT}")[:, 0]
+# The width of the two copies that place a text and its separator of each
+# size, 2 to _OUT bytes (see _compact): the widest of 13, 7, 4 and 2 at most
+# the size.  Two copies of w bytes place any size from w to 2w, so one width
+# places every text of 12 bytes or more: those of 17 digits, nearly all.
+_WIDTHS = (2, 4, 7, 13)
+_COPY = np.array([max((w for w in _WIDTHS if w <= size), default=0)
+                  for size in range(_OUT + 1)], np.uint8)
 
 
 def _bytes_view(buf: np.ndarray, dtype: str, offset: int, stride: int) -> np.ndarray:
@@ -74,44 +94,42 @@ def _decimal(values: np.ndarray):
     """(digits, k, fast): the 17 significant digits of |values| as integers
     in [1e16, 1e17), their decimal exponents, and where they hold, |values|
     in [1e-10, 1e15) (see above); digits and k are meaningless elsewhere."""
-    x = np.abs(values)
-    fast = (x >= 1e-10) & (x < 1e15)
-    x[~fast] = 1.0
-    bits = x.view(np.uint64)
+    bits = values.view(np.uint64) & (2 ** 63 - 1)   # of |values|
+    fast = bits - _FAST_LOW < _FAST_SPAN
+    if not fast.all():
+        bits[~fast] = _ONE
     m = (bits & (2 ** 52 - 1)) | 2 ** 52
     ml, mh = m & _LOW, m >> 32
-    e = (bits >> 52).astype(np.intp) - 1075
-    k = np.floor(np.log10(x)).astype(np.intp)
+    k = np.floor(np.log10(bits.view(np.float64))).astype(np.int64)
+    top = bits >> 52   # e + 1075
     while True:   # a second time where log10 put some k one off
+        # s = -(e + p) = k + 1059 - top, in [1, 60], wrapped around in uint64
+        s = (k.view(np.uint64) + 1059) - top
         p = 16 - k
-        s = (-(e + p)).astype(np.uint64)
-        f = _POW5[p]
+        fl, fh = _POW5_LOW.take(p), _POW5_HIGH.take(p)
         # m f = hi 2^64 + lo, from m = mh 2^32 + ml and f = fh 2^32 + fl.
-        fl, fh = f & _LOW, f >> 32
         low, mid = ml * fl, ml * fh + mh * fl
         carry = (low >> 32) + (mid & _LOW)
         lo = (carry << 32) | (low & _LOW)
         hi = mh * fh + (mid >> 32) + (carry >> 32)
-        n = (hi << (64 - s)) | (lo >> s)   # the integer part
-        shift = (n >= 10 ** 17).astype(np.intp) - (n < 10 ** 16)
-        if not shift.any():
+        up = 64 - s
+        n = (hi << up) | (lo >> s)   # the integer part
+        if not (n - 10 ** 16 >= 9 * 10 ** 16).any():   # every n in [1e16, 1e17)
             break
-        k += shift
-    # n rounds up where the rest, lo mod 2^s, is above half, or half and n odd.
-    half = np.uint64(1) << (s - 1)
-    return n + ((lo & (2 * half - 1)) + (n & 1) > half), k, fast
+        k += (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
+    # n rounds up where the rest, lo mod 2^s, is above half, or half and n
+    # odd: shifted to the top bits, with n's parity in the lowest, above 2^63.
+    return n + (((lo << up) | (n & 1)) > 2 ** 63), k, fast
 
 
 def _digit_rows(digits: np.ndarray):
-    """(rows, sig): row i holds 20 '0's and then the 17 digits of digits[i];
-    sig[i] counts them without trailing zeros.  An extra row pads the
-    windows that run past the last one."""
+    """(rows, sig): row i holds _LEFT '0's and then the 17 digits of
+    digits[i]; sig[i] counts them without trailing zeros.  An extra row pads
+    the windows that run past the last one."""
     count = digits.size
     rows = np.full((count + 1, _WIDTH), ord("0"), np.uint8)
     # A lead digit and four 4-digit groups: one uint64 division splits the
     # digits into two halves below 10^9, and the rest is uint32 arithmetic.
-    # The lead digit d is written as the group 000d, whose '0's fall on the
-    # padding.
     high = digits // 10 ** 8
     low = (digits - high * 10 ** 8).astype(np.uint32)
     high = high.astype(np.uint32)
@@ -121,19 +139,45 @@ def _digit_rows(digits: np.ndarray):
     for half in (low, high):
         head = half // 10 ** 4
         groups += [half - head * 10 ** 4, head]
-    for at, group in zip((33, 29, 25, 21, 17), groups + [lead]):
-        _bytes_view(rows, "<u4", at, _WIDTH)[:count] = _GROUP[group]
+    for at in range(4):
+        _bytes_view(rows, "<u4", _LEFT + 13 - 4 * at, _WIDTH)[:count] = _GROUP.take(groups[at])
+    rows[:count, _LEFT] = 48 + lead
     # Trailing zeros, group by group from the last while a group is 0000;
     # the lead digit of 17 digits is not 0.
-    sig = 17 - _GROUP_ZEROS[groups[0]]
+    sig = 17 - _GROUP_ZEROS.take(groups[0])
     trailing = np.flatnonzero(groups[0] == 0)
     for group in groups[1:]:
         if not trailing.size:
             break
         group = group[trailing]
-        sig[trailing] -= _GROUP_ZEROS[group]
+        sig[trailing] -= _GROUP_ZEROS.take(group)
         trailing = trailing[group == 0]
     return rows, sig
+
+
+def _compact(flat: np.ndarray, start: np.ndarray, size: np.ndarray) -> bytes:
+    """The pieces flat[start[i]:start[i] + size[i]], 2 to _OUT bytes each,
+    end to end.  Each piece goes to its place by two copies of w bytes, w
+    from _COPY: one from its start and one to its end.  The two cover the
+    piece and overlap only inside it, where they copy the same bytes, and
+    neither writes outside it; the pieces of one width go in one fancy
+    assignment per copy."""
+    at = np.cumsum(size)
+    out = np.empty(int(at[-1]), np.uint8)
+    at -= size
+    width = _COPY.take(size)
+    if width.min() < width.max():   # in order of width
+        order = np.argsort(width, kind="stable")
+        width, start, at, size = width[order], start[order], at[order], size[order]
+    ends = np.searchsorted(width, _WIDTHS, side="right").tolist()
+    for w, a, b in zip(_WIDTHS, [0] + ends, ends):
+        if a == b:
+            continue
+        src, dst, tail = start[a:b], at[a:b], size[a:b] - w
+        target, source = _bytes_view(out, f"V{w}", 0, 1), _bytes_view(flat, f"V{w}", 0, 1)
+        target[dst] = source[src]
+        target[dst + tail] = source[src + tail]
+    return out.tobytes()
 
 
 def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
@@ -141,25 +185,28 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     count = values.size
     digits, k, fast = _decimal(values)
     rows, sig = _digit_rows(digits)
-    # Fixed notation puts the point at column 18 of a text row and the
-    # digit of 10^j at column 17 - j, or 18 - j for j < 0; column 0 leaves
-    # room for the sign of a 17-digit integer.  Exponent notation takes the
-    # layout of k = 0.
+    del digits
+    # Fixed notation puts the point at column _HALF of a text row, over the
+    # second window's copy of the digit of 10^0, and the digit of 10^j at
+    # column _HALF - 1 - j, or _HALF - j for j < 0.  Exponent notation takes
+    # the layout of k = 0.
     expo = k < -4
     kf = np.where(expo, 0, k)
-    at = np.arange(count) * _WIDTH + kf + 4
-    text = np.empty((count + 1, _WIDTH), np.uint8)
-    _bytes_view(text, "V17", 1, _WIDTH)[:count] = _bytes_view(rows, "V17", 0, 1)[at]
-    _bytes_view(text, "V20", 19, _WIDTH)[:count] = _bytes_view(rows, "V20", 17, 1)[at]
-    del rows
-    text[:, 18] = ord(".")
-    start = 17 - np.maximum(kf, 0)
-    end = np.where(sig - kf >= 2, 18 + sig - kf, 18)   # no bare point
-    base = np.arange(count) * _WIDTH
+    base = _ROWS[:count]
+    at = np.empty((count, 2), np.intp)
+    at[:, 0] = base + kf + (_LEFT + 1 - _HALF)
+    np.add(at[:, 0], _HALF - 1, out=at[:, 1])
+    text = _bytes_view(rows, f"V{_HALF}", 0, 1)[at].view(np.uint8)
+    del rows, at
+    text[:, _HALF] = ord(".")
+    start = _HALF - 1 - np.maximum(kf, 0)
+    frac = sig - kf   # one more than the digits after the point
+    end = np.where(frac >= 2, _HALF + frac, _HALF)   # no bare point
     flat = text.reshape(-1)
     neg = np.flatnonzero(np.signbit(values) & fast)
-    start[neg] -= 1
-    flat[base[neg] + start[neg]] = ord("-")
+    if neg.size:
+        start[neg] -= 1
+        flat[base[neg] + start[neg]] = ord("-")
     e = np.flatnonzero(expo & fast)
     if e.size:
         pos, ke = base[e] + end[e], -k[e]   # e-05 to e-10
@@ -168,18 +215,15 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
         flat[pos + 2] = 48 + ke // 10
         flat[pos + 3] = 48 + ke % 10
         end[e] += 4
-    # Each text and its separator, from the sign or first digit on.
-    out = _bytes_view(text, f"V{_OUT}", 0, 1)[base + start]
-    del text
-    length = end - start
     slow = np.flatnonzero(~fast)
-    if slow.size:
+    if slow.size:   # `%` texts, from the start of their rows
         texts = [b"%.17g" % v for v in values[slow].tolist()]
-        out[slow] = np.array(texts, f"S{_OUT}").view(f"V{_OUT}")
-        length[slow] = [len(t) for t in texts]
-    out8 = out.view(np.uint8)
-    out8[np.arange(count) * _OUT + length] = seps
-    return out8[_PREFIX[length + 1].view(bool)].tobytes()
+        texts_bytes = np.array(texts, f"S{_OUT - 1}").view(np.uint8)
+        text[slow, :_OUT - 1] = texts_bytes.reshape(slow.size, _OUT - 1)
+        start[slow] = 0
+        end[slow] = [len(t) for t in texts]
+    flat[base + end] = seps
+    return _compact(flat, base + start, end - start + 1)
 
 
 def float_text(values: np.ndarray, n: int, sep: str = " ") -> bytes:

@@ -141,6 +141,44 @@ def test_zeros_subnormals_and_non_finite(formatter):
     assert formatter(np.zeros(0)) == []
 
 
+def chunk_cases():
+    rng = np.random.default_rng(34)
+    # The array path's range, [1e-10, 1e15), with either sign, texts of 1
+    # to 24 bytes (integers, short fractions, exponents e-05 to e-10) and
+    # so every copy width of the packing.
+    wide = rng.uniform(1.0, 10.0, fmt17._ENTRIES) * 10.0 ** rng.integers(-10, 15, fmt17._ENTRIES)
+    wide[::3] = rng.integers(1, 1000, wide[::3].size) / 8
+    wide[1::5] = rng.integers(1, 100, wide[1::5].size)
+    wide *= rng.choice([-1.0, 1.0], wide.size)
+    # Products as in a report row: texts of 17 digits, nearly all.
+    report = rng.uniform(0.001, 0.02) * rng.uniform(0.5, 100.0, fmt17._ENTRIES)
+    ends = report.copy()
+    ends[0], ends[-1] = 5e-324, 1e16
+    inner = np.ones(ends.size, dtype=bool)
+    inner[[0, -1]] = False
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, 1e16, -1e16])
+    # (values, where they take the array path)
+    return {"array_path_only": (wide, np.ones(wide.size, dtype=bool)),
+            "report_row": (report, np.ones(report.size, dtype=bool)),
+            "percent_path_only": (specials, np.zeros(specials.size, dtype=bool)),
+            "percent_first_and_last": (ends, inner)}
+
+
+@pytest.mark.parametrize("case", ["array_path_only", "report_row", "percent_path_only",
+                                  "percent_first_and_last"])
+@pytest.mark.parametrize("n", [1, 7])
+def test_chunk_matches_percent(case, n):
+    # One chunk of the engine: the array path's texts, `%`'s, or a full
+    # chunk of _ENTRIES floats with a `%` text first and last, each packed
+    # with its separator at its place in the chunk's bytes.
+    values, fast = chunk_cases()[case]
+    assert np.array_equal(fmt17._decimal(values)[2], fast)
+    texts = [b"%.17g" % v for v in values.tolist()]
+    want = b"".join(t + (b"\n" if (i + 1) % n == 0 else b",") for i, t in enumerate(texts))
+    assert fmt17.float_text(values, n, ",") == want
+
+
 def test_no_floating_point_warning():
     values = np.array([0.0, -0.0, 5e-324, 1e-320, 1e-300, 1.5, 1e300, 1.7976931348623157e308,
                        np.inf, -np.inf, np.nan, -np.nan])
@@ -159,9 +197,11 @@ def row_writer_peaks(shares, demands, common):
     peaks = []
     for share in shares:
         tracemalloc.start()
-        cli._write_rows(Discard(), share, demands, common)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+        try:
+            cli._write_rows(Discard(), share, demands, common)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     return peaks
 
 

@@ -1,8 +1,13 @@
 """Byte identity of the chunked float writers with the per-entry writers
 they replaced, kept here as references."""
 
+import contextlib
 import dataclasses
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -219,6 +224,54 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
     assert text.count("\n  ") == m
 
 
+def test_report_bytes_same_on_every_sink(tmp_path):
+    # `lendgame solve` writes one report whatever takes it: the file named
+    # by --output, a stdout redirected to a file in a fresh interpreter (the
+    # buffer under the text stream) and an io.StringIO put on stdout in
+    # process (the decoded bytes).  At n = 512 a block holds 8 fresh rows;
+    # here 19 fresh rows span three blocks, with runs of 1 to 3 common
+    # lines between them, one of 20 inside the second block, and in the
+    # third more short runs than the block has rows.
+    runs = [(True, 2), (False, 1), (True, 1), (False, 2), (True, 4), (False, 3), (True, 3),
+            (False, 20), (True, 6), (False, 3), (True, 1), (False, 3), (True, 1), (False, 3),
+            (True, 1), (False, 2)]
+    exhausted = np.concatenate([np.full(count, flag) for flag, count in runs])
+    game = game_with_exhausted(exhausted, 512, seed=34)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"lenders": game.budgets.tolist(), "borrowers": game.demands.tolist(),
+                                "rate_min": game.rate_min, "rate_max": game.rate_max}))
+    report = tmp_path / "report.txt"
+    assert cli.main(["solve", str(path), "--output", str(report)]) == 0
+    want = report.read_bytes()
+    assert want.decode() == assert_same_report(game)
+    assert want.count(b"\n  ") == exhausted.size
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with open(tmp_path / "stdout.txt", "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "lendgame.cli", "solve", str(path)],
+                              stdout=fh, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "stdout.txt").read_bytes() == want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", str(path)]) == 0
+    assert out.getvalue().encode() == want
+
+
+def test_report_follows_text_on_its_stream():
+    # On a text stream the report's bytes go to the buffer under it, after
+    # the text written before, and before the text written after.
+    game = LendingGame([1.0, 10.0], [6.0], 0.02, 0.08)
+    report = assert_same_report(game).encode()
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="ascii")
+    stream.write("before\n")
+    cli.write_equilibrium_report(cli.Scenario(game, None, DynamicsConfig()), stream)
+    stream.write("after\n")
+    stream.flush()
+    assert raw.getvalue() == b"before\n" + report + b"after\n"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(k=st.integers(-9, 12), m=st.integers(1, 8), n=st.integers(1, 131),
        seed=st.integers(0, 2**32 - 1))
@@ -390,10 +443,11 @@ def export_peak(rows, path):
                       lyapunov_gaps=rng.uniform(0.0, 1.0, rows), snapshots=snapshots,
                       final_profile=snapshots[-1][1], status="converged")
     tracemalloc.start()
-    cli.export_trajectory(traj, path)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak
+    try:
+        cli.export_trajectory(traj, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_export_peak_does_not_grow_with_rows(tmp_path):
