@@ -108,28 +108,15 @@ def _out_path(path: str | None, default_name: str) -> str:
 
 
 class _Decoded:
-    """The binary write of a text stream that has no buffer under it, such
-    as the io.StringIO that tests and in-process callers put on stdout:
-    the bytes written are ASCII."""
+    """A text stream as a binary one: the bytes written, which are ASCII, go
+    to it decoded, so they keep their place among its text and take its
+    encoding and newline translation."""
 
     def __init__(self, text):
         self.text = text
 
     def write(self, data: bytes) -> int:
         return self.text.write(data.decode())
-
-
-def _binary(out):
-    """out as a binary stream: out itself unless it is a text stream, else
-    the buffer under it, once what its text layer holds is flushed, or
-    _Decoded(out) where it has none."""
-    if not isinstance(out, io.TextIOBase):
-        return out
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:
-        return _Decoded(out)
-    out.flush()
-    return buffer
 
 
 def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None) -> None:
@@ -140,10 +127,8 @@ def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None)
     share[common] * demands, and written again for each of them (bits, not
     values: a share of -0.0 writes a row of -0, one of 0.0 a row of 0).
     The other rows, the fresh ones, are made from their shares and
-    formatted in fmt17's blocks.  Each block goes out in one write with the
-    common lines before its rows, as long as these are no more than the
-    block's rows; past that, what is held goes out, and then the run of
-    common lines a block at a time."""
+    formatted in fmt17's blocks, and each block is written before the next
+    is made, the common lines between its rows included."""
     m, n = share.size, demands.size
     same = np.zeros(m, dtype=bool)
     line = b""
@@ -156,20 +141,12 @@ def _write_rows(out, share: np.ndarray, demands: np.ndarray, common: int | None)
     gaps = np.diff(fresh, prepend=-1, append=m) - 1
     for block in blocks(fresh.size, n):
         text = float_text(np.outer(share[fresh[block]], demands).ravel(), n)
-        view, start = memoryview(text), 0
-        parts, held = [], 0
+        start = 0
         for gap in gaps[block].tolist():
-            if held + gap > block.stop - block.start:
-                out.write(b"".join(parts))
-                _write_common(out, line, gap, n)
-                parts, held = [], 0
-            else:
-                parts += (line,) * gap
-                held += gap
+            _write_common(out, line, gap, n)
             end = text.index(b"\n", start) + 1
-            parts += (b"  ", view[start:end])
+            out.write(b"  " + text[start:end])
             start = end
-        out.write(b"".join(parts))
     _write_common(out, line, int(gaps[-1]), n)
 
 
@@ -183,8 +160,9 @@ def _write_common(out, line: bytes, count: int, n: int) -> None:
 
 def write_equilibrium_report(scenario: Scenario, out) -> eq.EquilibriumResult:
     """Solve and certify the scenario's game and write the report to out, a
-    binary or a text stream (see _binary)."""
-    out = _binary(out)
+    binary stream or a text stream (see _Decoded)."""
+    if isinstance(out, io.TextIOBase):
+        out = _Decoded(out)
     game = scenario.game
     result = eq.solve_equilibrium(game)
     report = eq.certify(game, result)

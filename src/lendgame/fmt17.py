@@ -46,9 +46,8 @@ def fmt(x: float) -> str:
 # goes, so the integer digits lie left of a fixed column and the fraction
 # right of it.  Windows are fancy-indexed views whose items overlap (see
 # _bytes_view), so one gather moves every half by its own offset.
-# _compact then packs the texts end to end with copies whose targets never
-# overlap but where they write the same bytes, so no result depends on the
-# order in which numpy applies a fancy assignment.
+# A window of _OUT bytes from each text's first byte, masked to the text
+# and its separator, then packs the texts end to end.
 _ENTRIES = 2 ** 12   # floats per call of _format_chunk
 _LOW = np.uint64(2 ** 32 - 1)
 _POW5 = 5 ** np.arange(28, dtype=np.uint64)   # 5^p for p = 16 - k
@@ -73,13 +72,8 @@ _LEFT = _HALF + 3    # '0's before the 17 digits of a digit row
 _WIDTH = 2 * _HALF   # bytes per row of the digit and text buffers
 _ROWS = np.arange(_ENTRIES) * _WIDTH   # the first byte of each row
 _OUT = 25            # longest text, "-2.2250738585072014e-308", and a separator
-# The width of the two copies that place a text and its separator of each
-# size, 2 to _OUT bytes (see _compact): the widest of 13, 7, 4 and 2 at most
-# the size.  Two copies of w bytes place any size from w to 2w, so one width
-# places every text of 12 bytes or more: those of 17 digits, nearly all.
-_WIDTHS = (2, 4, 7, 13)
-_COPY = np.array([max((w for w in _WIDTHS if w <= size), default=0)
-                  for size in range(_OUT + 1)], np.uint8)
+# Item x of _PREFIX is x True and then False bools.
+_PREFIX = np.tri(_OUT + 1, _OUT, -1, dtype=bool).view(f"V{_OUT}")[:, 0]
 
 
 def _bytes_view(buf: np.ndarray, dtype: str, offset: int, stride: int) -> np.ndarray:
@@ -155,31 +149,6 @@ def _digit_rows(digits: np.ndarray):
     return rows, sig
 
 
-def _compact(flat: np.ndarray, start: np.ndarray, size: np.ndarray) -> bytes:
-    """The pieces flat[start[i]:start[i] + size[i]], 2 to _OUT bytes each,
-    end to end.  Each piece goes to its place by two copies of w bytes, w
-    from _COPY: one from its start and one to its end.  The two cover the
-    piece and overlap only inside it, where they copy the same bytes, and
-    neither writes outside it; the pieces of one width go in one fancy
-    assignment per copy."""
-    at = np.cumsum(size)
-    out = np.empty(int(at[-1]), np.uint8)
-    at -= size
-    width = _COPY.take(size)
-    if width.min() < width.max():   # in order of width
-        order = np.argsort(width, kind="stable")
-        width, start, at, size = width[order], start[order], at[order], size[order]
-    ends = np.searchsorted(width, _WIDTHS, side="right").tolist()
-    for w, a, b in zip(_WIDTHS, [0] + ends, ends):
-        if a == b:
-            continue
-        src, dst, tail = start[a:b], at[a:b], size[a:b] - w
-        target, source = _bytes_view(out, f"V{w}", 0, 1), _bytes_view(flat, f"V{w}", 0, 1)
-        target[dst] = source[src]
-        target[dst + tail] = source[src + tail]
-    return out.tobytes()
-
-
 def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     """The `%.17g` texts of values, each followed by its separator."""
     count = values.size
@@ -193,9 +162,9 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     expo = k < -4
     kf = np.where(expo, 0, k)
     base = _ROWS[:count]
-    at = np.empty((count, 2), np.intp)
-    at[:, 0] = base + kf + (_LEFT + 1 - _HALF)
-    np.add(at[:, 0], _HALF - 1, out=at[:, 1])
+    at = np.zeros((count + 1, 2), np.intp)   # a last row pads the last window
+    at[:count, 0] = base + kf + (_LEFT + 1 - _HALF)
+    np.add(at[:count, 0], _HALF - 1, out=at[:count, 1])
     text = _bytes_view(rows, f"V{_HALF}", 0, 1)[at].view(np.uint8)
     del rows, at
     text[:, _HALF] = ord(".")
@@ -223,7 +192,9 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
         start[slow] = 0
         end[slow] = [len(t) for t in texts]
     flat[base + end] = seps
-    return _compact(flat, base + start, end - start + 1)
+    # Each text and its separator, from its first byte on.
+    out = _bytes_view(text, f"V{_OUT}", 0, 1)[base + start]
+    return out.view(np.uint8)[_PREFIX[end - start + 1].view(bool)].tobytes()
 
 
 def float_text(values: np.ndarray, n: int, sep: str = " ") -> bytes:

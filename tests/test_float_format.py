@@ -144,8 +144,7 @@ def test_zeros_subnormals_and_non_finite(formatter):
 def chunk_cases():
     rng = np.random.default_rng(34)
     # The array path's range, [1e-10, 1e15), with either sign, texts of 1
-    # to 24 bytes (integers, short fractions, exponents e-05 to e-10) and
-    # so every copy width of the packing.
+    # to 24 bytes (integers, short fractions, exponents e-05 to e-10).
     wide = rng.uniform(1.0, 10.0, fmt17._ENTRIES) * 10.0 ** rng.integers(-10, 15, fmt17._ENTRIES)
     wide[::3] = rng.integers(1, 1000, wide[::3].size) / 8
     wide[1::5] = rng.integers(1, 100, wide[1::5].size)

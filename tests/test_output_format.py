@@ -226,12 +226,12 @@ def test_report_row_blocks_match_reference(monkeypatch, n, pattern):
 
 def test_report_bytes_same_on_every_sink(tmp_path):
     # `lendgame solve` writes one report whatever takes it: the file named
-    # by --output, a stdout redirected to a file in a fresh interpreter (the
-    # buffer under the text stream) and an io.StringIO put on stdout in
-    # process (the decoded bytes).  At n = 512 a block holds 8 fresh rows;
-    # here 19 fresh rows span three blocks, with runs of 1 to 3 common
-    # lines between them, one of 20 inside the second block, and in the
-    # third more short runs than the block has rows.
+    # by --output (a binary file), and, as decoded text, a stdout redirected
+    # to a file in a fresh interpreter and an io.StringIO put on stdout in
+    # process.  At n = 512 a block holds 8 fresh rows; here 19 fresh rows
+    # span three blocks, with runs of 1 to 3 common lines between them, one
+    # of 20 inside the second block, and in the third more short runs than
+    # the block has rows.
     runs = [(True, 2), (False, 1), (True, 1), (False, 2), (True, 4), (False, 3), (True, 3),
             (False, 20), (True, 6), (False, 3), (True, 1), (False, 3), (True, 1), (False, 3),
             (True, 1), (False, 2)]
@@ -256,20 +256,6 @@ def test_report_bytes_same_on_every_sink(tmp_path):
     with contextlib.redirect_stdout(out):
         assert cli.main(["solve", str(path)]) == 0
     assert out.getvalue().encode() == want
-
-
-def test_report_follows_text_on_its_stream():
-    # On a text stream the report's bytes go to the buffer under it, after
-    # the text written before, and before the text written after.
-    game = LendingGame([1.0, 10.0], [6.0], 0.02, 0.08)
-    report = assert_same_report(game).encode()
-    raw = io.BytesIO()
-    stream = io.TextIOWrapper(raw, encoding="ascii")
-    stream.write("before\n")
-    cli.write_equilibrium_report(cli.Scenario(game, None, DynamicsConfig()), stream)
-    stream.write("after\n")
-    stream.flush()
-    assert raw.getvalue() == b"before\n" + report + b"after\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
