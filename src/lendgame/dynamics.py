@@ -134,7 +134,8 @@ class DynamicsConfig:
         for name, w in (("lender_weights", weights), ("pg_weights", pg_weights)):
             if w.shape != (game.m,):
                 raise ConfigError(f"{name} must hold {game.m} weights, one per lender, got {w.size}")
-        # The tolerance Generator.choice applies to its probabilities.
+        # choice()'s tolerance on its probabilities, so that _lender_draw
+        # draws what choice() would.
         if abs(math.fsum(weights) - 1.0) > np.sqrt(np.finfo(float).eps):
             raise ConfigError("lender_weights must be a distribution: they sum to "
                               f"{math.fsum(weights):.17g}, not 1")
@@ -184,20 +185,15 @@ def _blend(s: np.ndarray, i: int, target: np.ndarray, alpha: float) -> np.ndarra
 def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np.ndarray, int, float]:
     """One eager update: the lender with the highest best-response gain
     (lowest index on ties) blends a fraction alpha toward its best response.
-    Returns (new profile, chosen lender, that lender's gain)."""
+    Returns (new profile, chosen lender, that lender's gain).  alpha is
+    held to its row of FIELDS by one comparison: this is run's eager step."""
+    rule = FIELDS["alpha"]
+    if not rule.low < alpha <= rule.high:   # NaN fails too
+        raise ConfigError(f"'alpha' must be {rule}, got {alpha!r}")
     s = np.asarray(profile, dtype=float)
     gains, targets = _gains_and_profile(game, s)
     i = int(np.argmax(gains))  # argmax takes the first maximum: lowest index
     return _blend(s, i, targets[i], alpha), i, float(gains[i])
-
-
-def _randomised(game: LendingGame, s: np.ndarray, alpha: float, i: int) -> np.ndarray:
-    return _blend(s, i, _best_responses(game, s, i)[0], alpha)
-
-
-def _pseudo_gradient(game: LendingGame, s: np.ndarray, scaled_step: np.ndarray) -> np.ndarray:
-    """scaled_step is pg_step * pg_weights[:, None]."""
-    return _capped_projection(s + scaled_step * potential_gradient(game, s), game.budgets)
 
 
 def _continuous(game: LendingGame, s: np.ndarray, h: float) -> np.ndarray:
@@ -223,10 +219,10 @@ def step_randomised(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
     """One randomised update: draw the lender from the given distribution
-    and apply the same alpha-blend toward its best response."""
-    s = np.asarray(profile, dtype=float)
-    i = int(rng.choice(game.m, p=weights))
-    return _randomised(game, s, alpha, i), i
+    and apply the same alpha-blend toward its best response.  The arguments
+    are held to the config's rules; raises ConfigError naming a bad one."""
+    cfg = DynamicsConfig(variant="randomised", alpha=alpha, lender_weights=weights).resolved(game)
+    return _stepper(game, cfg, rng)(np.asarray(profile, dtype=float))
 
 
 def step_pseudo_gradient(
@@ -236,10 +232,11 @@ def step_pseudo_gradient(
     pg_step: float,
 ) -> np.ndarray:
     """One synchronous pseudo-gradient step: every lender moves along its
-    weighted utility gradient, then is projected back onto its budget set."""
-    if pg_step > pg_step_bound(game, pg_weights):
-        raise ValueError("pg_step exceeds the stability bound")
-    return _pseudo_gradient(game, np.asarray(profile, dtype=float), pg_step * np.asarray(pg_weights)[:, None])
+    weighted utility gradient, then is projected back onto its budget set.
+    The arguments are held to the config's rules, pg_step to its stability
+    bound pg_step_bound; raises ConfigError naming a bad one."""
+    cfg = DynamicsConfig(variant="pseudo_gradient", pg_weights=pg_weights, pg_step=pg_step).resolved(game)
+    return _stepper(game, cfg)(np.asarray(profile, dtype=float))[0]
 
 
 def _lender_draw(weights: np.ndarray, rng: np.random.Generator):
@@ -251,22 +248,25 @@ def _lender_draw(weights: np.ndarray, rng: np.random.Generator):
     return lambda: int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _stepper(game: LendingGame, cfg: DynamicsConfig):
+def _stepper(game: LendingGame, cfg: DynamicsConfig, rng: np.random.Generator | None = None):
     """The resolved config's step, s -> (next profile, updating lender or
-    -1), with its per-run constants bound."""
+    -1), with its per-run constants bound.  The randomised lender is drawn
+    from rng, by default a Philox generator seeded with cfg.seed."""
     if cfg.variant == "eager":
         return lambda s: step_eager(game, s, cfg.alpha)[:2]
     if cfg.variant == "randomised":
-        draw = _lender_draw(cfg.lender_weights, np.random.Generator(np.random.Philox(cfg.seed)))
+        if rng is None:
+            rng = np.random.Generator(np.random.Philox(cfg.seed))
+        draw = _lender_draw(cfg.lender_weights, rng)
 
         def randomised(s):
             i = draw()
-            return _randomised(game, s, cfg.alpha, i), i
+            return _blend(s, i, _best_responses(game, s, i)[0], cfg.alpha), i
 
         return randomised
     if cfg.variant == "pseudo_gradient":
         scaled_step = cfg.pg_step * cfg.pg_weights[:, None]
-        return lambda s: (_pseudo_gradient(game, s, scaled_step), -1)
+        return lambda s: (_capped_projection(s + scaled_step * potential_gradient(game, s), game.budgets), -1)
     h = float(cfg.ode_step)
     return lambda s: (_continuous(game, s, h), -1)
 

@@ -159,7 +159,8 @@ def concavity_gap(game: LendingGame, s, s_prime, lam: float) -> tuple[float, flo
     measured  = Phi(lam*s + (1-lam)*s') - lam*Phi(s) - (1-lam)*Phi(s')
     closed    = lam*(1-lam) * sum_j span/(2 d_j) * (sum_i D_ij^2 + (sum_i D_ij)^2)
 
-    with D = s - s'.  Both are strictly positive whenever s != s'.
+    with D = s - s': -lam*(1-lam)/2 times the Hessian's quadratic form at D,
+    jacobian_quadratic_form.  Both are strictly positive whenever s != s'.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
@@ -167,13 +168,7 @@ def concavity_gap(game: LendingGame, s, s_prime, lam: float) -> tuple[float, flo
     s_prime = np.asarray(s_prime, dtype=float)
     blend = lam * s + (1.0 - lam) * s_prime
     measured = potential(game, blend) - lam * potential(game, s) - (1.0 - lam) * potential(game, s_prime)
-    delta = s - s_prime
-    closed = lam * (1.0 - lam) * float(
-        np.sum(
-            game.rate_span / (2.0 * game.demands)
-            * ((delta * delta).sum(axis=0) + delta.sum(axis=0) ** 2)
-        )
-    )
+    closed = -0.5 * lam * (1.0 - lam) * jacobian_quadratic_form(game, s - s_prime)
     return float(measured), closed
 
 

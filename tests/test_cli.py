@@ -78,6 +78,40 @@ def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/scenario.json"]) == 3
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5"], ids=["array", "number"])
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed scenario: scenario file must contain a JSON object\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["solve", "SCENARIO", "--output", "OUT"], "report"),
+    (["dynamics", "SCENARIO", "--output", "OUT"], "trajectory"),
+])
+def test_output_into_missing_directory_exits_3(tmp_path, capsys, argv, what):
+    path = write_scenario(tmp_path, TWO_LENDER)
+    out = str(tmp_path / "missing" / "out.txt")
+    assert main([{"SCENARIO": path, "OUT": out}.get(arg, arg) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {what}: ")
+    assert "market_rate" not in captured.out and "status" not in captured.out
+
+
+@pytest.mark.parametrize("field, size", [
+    ("lender_weights", 1), ("lender_weights", 3), ("pg_weights", 1), ("pg_weights", 3),
+])
+def test_weights_of_the_wrong_length_exit_2(tmp_path, capsys, field, size):
+    # The two-lender game takes 2 weights; lender_weights sum to 1 either way.
+    path = write_scenario(tmp_path, {**TWO_LENDER, "dynamics": {field: [1.0 / size] * size}})
+    assert main(["dynamics", path, "--output", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must hold 2 weights, one per lender, got {size}" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_dynamics_converges(tmp_path, capsys):
     path = write_scenario(tmp_path, TWO_LENDER)
     out = tmp_path / "traj.csv"

@@ -179,6 +179,30 @@ def test_pseudo_gradient_step_bound_enforced(two_lender_game):
         cfg.resolved(two_lender_game)
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda g, s: step_pseudo_gradient(g, s, np.ones(2), -pg_step_bound(g)), "pg_step"),
+    (lambda g, s: step_pseudo_gradient(g, s, np.ones(2), 0.0), "pg_step"),
+    (lambda g, s: step_pseudo_gradient(g, s, np.ones(2), float("nan")), "pg_step"),
+    (lambda g, s: step_pseudo_gradient(g, s, np.array([1.0, -1.0]), 0.5 * pg_step_bound(g)), "pg_weights"),
+    (lambda g, s: step_eager(g, s, 5.0), "alpha"),
+    (lambda g, s: step_randomised(g, s, 5.0, np.array([0.5, 0.5]), seeded_rng(0)), "alpha"),
+    (lambda g, s: step_eager(g, s, -1.0), "alpha"),
+    (lambda g, s: step_randomised(g, s, -1.0, np.array([0.5, 0.5]), seeded_rng(0)), "alpha"),
+    (lambda g, s: step_eager(g, s, float("nan")), "alpha"),
+    (lambda g, s: step_randomised(g, s, 0.5, np.array([1.0, 0.0]), seeded_rng(0)), "lender_weights"),
+], ids=["pg_step_negative_bound", "pg_step_zero", "pg_step_nan", "pg_weights_negative",
+        "eager_alpha_5", "randomised_alpha_5", "eager_alpha_negative", "randomised_alpha_negative",
+        "eager_alpha_nan", "randomised_zero_weight"])
+def test_public_steps_refuse_what_run_refuses(call, field):
+    # The one-step functions took these arguments unchecked: they lowered
+    # the potential (pg_step = -bound, alpha = -1), left the budget set
+    # (alpha = 5 or -1) or returned NaN with no error.
+    g = LendingGame([1.0, 10.0], [6.0, 3.0], 0.02, 0.08)
+    s = np.array([[0.5, 0.2], [3.0, 1.0]])
+    with pytest.raises(ConfigError, match=field):
+        call(g, s)
+
+
 def hessian_spectral_radius(game):
     """Spectral radius of the potential's Hessian, from eigvalsh of the
     explicit matrix.  The gradient is affine in the profile, so column k of

@@ -209,6 +209,12 @@ def test_fd_gradient_matches_loop_bytes_across_chunks():
     assert finite_difference_gradient(g, s).tobytes() == _loop_fd_gradient(g, s, h).tobytes()
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5])
+def test_fd_gradient_refuses_a_step_that_is_not_positive(two_lender_game, h):
+    with pytest.raises(ValueError, match="h must be positive"):
+        finite_difference_gradient(two_lender_game, np.zeros((2, 1)), h)
+
+
 def test_concavity_gap_zero_for_equal_profiles(two_lender_game):
     s = np.array([[0.5], [1.0]])
     measured, closed = concavity_gap(two_lender_game, s, s, 0.3)
