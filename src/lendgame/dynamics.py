@@ -186,9 +186,10 @@ def step_eager(game: LendingGame, profile: np.ndarray, alpha: float) -> tuple[np
     """One eager update: the lender with the highest best-response gain
     (lowest index on ties) blends a fraction alpha toward its best response.
     Returns (new profile, chosen lender, that lender's gain).  alpha is
-    held to its row of FIELDS by one comparison: this is run's eager step."""
+    held to its row of FIELDS by a type test and one comparison: this is
+    run's eager step."""
     rule = FIELDS["alpha"]
-    if not rule.low < alpha <= rule.high:   # NaN fails too
+    if isinstance(alpha, (bool, np.bool_)) or not rule.low < alpha <= rule.high:   # NaN fails too
         raise ConfigError(f"'alpha' must be {rule}, got {alpha!r}")
     s = np.asarray(profile, dtype=float)
     gains, targets = _gains_and_profile(game, s)

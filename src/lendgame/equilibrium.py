@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import BLOCK_FLOATS, LendingGame, _gradient_rows, interest_rates
+from .game import BLOCK_FLOATS, LendingGame, _gradient_rows, interest_rates, potential_gradient
 
 
 @dataclass(frozen=True)
@@ -124,41 +124,82 @@ def kkt_check(
     `tolerance` is relative: primal to the cash scale, stationarity and dual
     to the rate span, slackness to the utility scale.
 
-    The m x n terms are taken in blocks of rows of at most BLOCK_FLOATS
-    floats, in one block-sized buffer (see _kkt_report).  A block's maxima
-    are exact, so they can differ from those of the whole arrays only in
-    the sign of a zero.  The primal terms max(-s_ij, 0) enter as -min s,
-    which differs from their maximum only where it is at most a zero.  No
-    residual shows either difference: the stationarity terms are absolute
-    values, and each other residual is Python's max of a term over
-    m-vectors, which is a zero or more, and of its blocks' maxima, and
-    Python's max keeps the first of equal values.  So every residual has
-    the bits of the plain expressions.
-
-    `certify` takes the same blocks from the rank-one profile of a solved
-    equilibrium, and skips the terms that only its non-negativity
-    multipliers touch; that keeps every residual's bits too.  Those
-    multipliers are +0.0: in a stationarity term `+= 0.0` changes only the
-    sign of a -0.0, which `abs` drops next, and a dual term max(-0.0, 0.0)
-    or a slackness term |0.0 * s| (s finite) is a zero, which Python's max
-    never takes over the term before it.
-    """
+    The dense reference: plain expressions on whole arrays, which hold a
+    few m x n temporaries.  `certify` is tested against its bits."""
     s = np.asarray(profile, dtype=float)
     mu_b = np.asarray(multipliers_budget, dtype=float)
     mu_n = np.asarray(multipliers_nonneg, dtype=float)
     if s.shape != (game.m, game.n) or mu_b.shape != (game.m,) or mu_n.shape != s.shape:
         raise ValueError("shape mismatch between game, profile and multipliers")
-    return _kkt_report(game, lambda rows, out: s[rows], np.add.reduce(s, axis=0),
-                       mu_b, mu_n, tolerance)
+    row_sums = np.add.reduce(s, axis=1)
+    grad = potential_gradient(game, s) - mu_b[:, None] + mu_n
+    return _report(
+        game, tolerance,
+        primal=max(float(np.maximum(row_sums - game.budgets, 0.0).max()),
+                   float(np.maximum(-s, 0.0).max())),
+        stationarity=float(np.abs(grad).max()),
+        dual=max(float(np.maximum(-mu_b, 0.0).max()), float(np.maximum(-mu_n, 0.0).max())),
+        slackness=max(float(np.abs(mu_b * (game.budgets - row_sums)).max()),
+                      float(np.abs(mu_n * s).max())),
+    )
 
 
 def certify(game: LendingGame, result: EquilibriumResult, tolerance: float = 1e-8) -> KktReport:
     """KKT report for a solved equilibrium: that of kkt_check(game,
     result.profile, result.multipliers_budget, result.multipliers_nonneg,
-    tolerance), bit for bit, from blocks of the profile's rows, so that no
-    m x n array is made."""
-    return _kkt_report(game, result.rows, _column_sums(result), result.multipliers_budget,
-                       None, tolerance)
+    tolerance), bit for bit, with no m x n array.
+
+    The profile's rows are made in blocks of at most BLOCK_FLOATS floats, in
+    one block-sized buffer.  A block's gradient is computed in the buffer,
+    then its stationarity terms in place; the primal terms' -min s is taken
+    before the gradient overwrites the block.  A block's maxima are exact,
+    so they can differ from those of the whole arrays only in the sign of a
+    zero.  The primal terms max(-s_ij, 0) enter as -min s, which differs
+    from their maximum only where it is at most a zero.  No residual shows
+    either difference: the stationarity terms are absolute values, and the
+    primal residual is Python's max of a term over m-vectors, which is a
+    zero or more, and of its blocks' maxima, and Python's max keeps the
+    first of equal values.  So every residual has the bits of the plain
+    expressions.
+
+    The terms that only the non-negativity multipliers touch are skipped;
+    that keeps every residual's bits too.  Those multipliers are +0.0: in a
+    stationarity term `+= 0.0` changes only the sign of a -0.0, which `abs`
+    drops next, and a dual term max(-0.0, 0.0) or a slackness term
+    |0.0 * s| (s finite) is a zero, which Python's max never takes over the
+    term before it."""
+    m, n = game.m, game.n
+    mu_b = result.multipliers_budget
+    supply = _column_sums(result)
+    step = max(1, BLOCK_FLOATS // n)
+    buf = np.empty((min(step, m), n))
+    row_sums = np.empty(m)
+    maxima = []
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        s = result.rows(rows, out=buf[:min(step, m - start)])
+        row_sums[rows] = np.add.reduce(s, axis=1)
+        primal_term = -s.min()
+        grad = _gradient_rows(game, s, supply, out=s)
+        grad -= mu_b[rows, None]
+        maxima.append((np.abs(grad, out=grad).max(), primal_term))
+    stationarity, primal_term = map(float, np.max(maxima, axis=0))
+    return _report(
+        game, tolerance,
+        primal=max(float(np.maximum(row_sums - game.budgets, 0.0).max()), primal_term),
+        stationarity=stationarity,
+        dual=float(np.maximum(-mu_b, 0.0).max()),
+        slackness=float(np.abs(mu_b * (game.budgets - row_sums)).max()),
+    )
+
+
+def _report(game: LendingGame, tolerance: float, primal: float, stationarity: float,
+            dual: float, slackness: float) -> KktReport:
+    """The KKT report of these residuals, under the one pass rule."""
+    passed = (primal <= tolerance * game.cash_scale
+              and max(stationarity, dual) <= tolerance * game.rate_span
+              and slackness <= tolerance * game.utility_scale)
+    return KktReport(primal, stationarity, dual, slackness, tolerance, passed)
 
 
 def _column_sums(result: EquilibriumResult) -> np.ndarray:
@@ -179,57 +220,6 @@ def _column_sums(result: EquilibriumResult) -> np.ndarray:
         result.rows(slice(start, start + k), out=buf[1:k + 1])
         buf[0] = np.add.reduce(buf[:k + 1], axis=0)
     return buf[0].copy()
-
-
-def _kkt_report(game: LendingGame, rows_of, supply, mu_b, mu_n, tolerance) -> KktReport:
-    """The KKT report of the profile whose column sums are supply and whose
-    rows `rows_of(rows, out)` returns, made in out or a view of the
-    caller's profile; mu_n None stands for zero non-negativity multipliers,
-    whose terms are skipped (see kkt_check).
-
-    A block's gradient is computed in the buffer, then its stationarity
-    terms in place, and then -mu_n and mu_n s in turn, so the check holds
-    one block-sized temporary.  The primal terms' -min s is taken before
-    the gradient overwrites a block made in the buffer."""
-    m, n = game.m, game.n
-    step = max(1, BLOCK_FLOATS // n)
-    buf = np.empty((min(step, m), n))
-    row_sums = np.empty(m)
-    maxima = []
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        out = buf[:min(step, m - start)]
-        s = rows_of(rows, out)
-        row_sums[rows] = np.add.reduce(s, axis=1)
-        primal_term = -s.min()
-        grad = _gradient_rows(game, s, supply, out)
-        grad -= mu_b[rows, None]
-        if mu_n is not None:
-            grad += mu_n[rows]
-        terms = [np.abs(grad, out=grad).max(), primal_term]
-        if mu_n is not None:
-            # s is a view of the caller's profile, so out is free again.
-            terms += [np.maximum(np.negative(mu_n[rows], out=out), 0.0, out=out).max(),
-                      np.abs(np.multiply(mu_n[rows], s, out=out), out=out).max()]
-        maxima.append(terms)
-    stationarity, primal_terms, *nonneg_terms = map(float, np.max(maxima, axis=0))
-
-    primal = max(float(np.maximum(row_sums - game.budgets, 0.0).max()), primal_terms)
-    dual = max([float(np.maximum(-mu_b, 0.0).max()), *nonneg_terms[:1]])
-    slackness = max([float(np.abs(mu_b * (game.budgets - row_sums)).max()), *nonneg_terms[1:]])
-
-    return KktReport(
-        primal_residual=primal,
-        stationarity_residual=stationarity,
-        dual_residual=dual,
-        slackness_residual=slackness,
-        tolerance=tolerance,
-        passed=(
-            primal <= tolerance * game.cash_scale
-            and max(stationarity, dual) <= tolerance * game.rate_span
-            and slackness <= tolerance * game.utility_scale
-        ),
-    )
 
 
 def rate_spread(game: LendingGame, profile: np.ndarray) -> float:

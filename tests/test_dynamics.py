@@ -189,14 +189,17 @@ def test_pseudo_gradient_step_bound_enforced(two_lender_game):
     (lambda g, s: step_eager(g, s, -1.0), "alpha"),
     (lambda g, s: step_randomised(g, s, -1.0, np.array([0.5, 0.5]), seeded_rng(0)), "alpha"),
     (lambda g, s: step_eager(g, s, float("nan")), "alpha"),
+    (lambda g, s: step_eager(g, s, True), "alpha"),
+    (lambda g, s: step_eager(g, s, np.True_), "alpha"),
     (lambda g, s: step_randomised(g, s, 0.5, np.array([1.0, 0.0]), seeded_rng(0)), "lender_weights"),
 ], ids=["pg_step_negative_bound", "pg_step_zero", "pg_step_nan", "pg_weights_negative",
         "eager_alpha_5", "randomised_alpha_5", "eager_alpha_negative", "randomised_alpha_negative",
-        "eager_alpha_nan", "randomised_zero_weight"])
+        "eager_alpha_nan", "eager_alpha_true", "eager_alpha_np_true", "randomised_zero_weight"])
 def test_public_steps_refuse_what_run_refuses(call, field):
     # The one-step functions took these arguments unchecked: they lowered
     # the potential (pg_step = -bound, alpha = -1), left the budget set
-    # (alpha = 5 or -1) or returned NaN with no error.
+    # (alpha = 5 or -1), returned NaN with no error, or stepped as alpha = 1
+    # on a boolean, which run's rule refuses.
     g = LendingGame([1.0, 10.0], [6.0, 3.0], 0.02, 0.08)
     s = np.array([[0.5, 0.2], [3.0, 1.0]])
     with pytest.raises(ConfigError, match=field):
